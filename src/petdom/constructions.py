@@ -25,8 +25,9 @@ the total variant reuses them.  Exceptional windows always sit at the
 highest column indices, matching the small-case layout.
 
 Every construction is validated at emit time against its predicate and
-its target cardinality; a failure raises ConstructionError because these
-sets serve as acceptance oracles elsewhere.
+its target cardinality, on the same membership arrays it is emitted
+from; a failure raises ConstructionError because these sets serve as
+acceptance oracles elsewhere.
 """
 
 from __future__ import annotations
@@ -36,10 +37,10 @@ from enum import Enum
 
 import numpy as np
 
-from .domination import DominationKind
+from .domination import DominationKind, counts
 from .errors import ConstructionError, ParameterError
 from .formulas import f_one_two, g_one_two_total
-from .graph import Ring, VertexSet, cached_vertex
+from .graph import VertexSet
 
 __all__ = [
     "ConstructionSource",
@@ -96,14 +97,8 @@ def small_case_set(n: int) -> VertexSet:
     """The tabulated minimum [1,2]-dominating set for 5 <= n <= 11."""
     if n not in _SMALL_CASES:
         raise ParameterError(f"small_case_set requires 5 <= n <= 11, got n={n}")
-    outer, inner = _SMALL_CASES[n]
-    return _materialize(outer, inner)
-
-
-def _materialize(outer, inner) -> VertexSet:
-    members = [cached_vertex(Ring.OUTER, i) for i in outer]
-    members += [cached_vertex(Ring.INNER, i) for i in inner]
-    return VertexSet.of(members)
+    U, V = _validate(n, *_SMALL_CASES[n], DominationKind.ONE_TWO, f_one_two(n))
+    return VertexSet.from_arrays(U, V)
 
 
 def _pattern_one_two(n: int) -> tuple[list[int], list[int], ConstructionSource]:
@@ -139,35 +134,26 @@ def _pattern_one_two_total(n: int) -> tuple[list[int], list[int], ConstructionSo
     return _pattern_one_two(n)
 
 
-def _counts(n: int, outer: list[int], inner: list[int]) -> tuple[np.ndarray, ...]:
-    U = np.zeros(n, dtype=np.int8)
-    V = np.zeros(n, dtype=np.int8)
-    U[outer] = 1
-    V[inner] = 1
-    cu = np.roll(U, 1) + np.roll(U, -1) + V
-    cv = np.roll(V, 2) + np.roll(V, -2) + U
-    return U, V, cu, cv
-
-
 def _validate(
-    n: int, outer: list[int], inner: list[int], kind: DominationKind, size: int
-) -> None:
-    if len(outer) + len(inner) != size:
+    n: int, outer, inner, kind: DominationKind, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Membership arrays of the set with the given column index lists,
+    checked against the kind and the target size."""
+    U = np.zeros(n, dtype=np.uint8)
+    V = np.zeros(n, dtype=np.uint8)
+    U[list(outer)] = 1
+    V[list(inner)] = 1
+    got = int(U.sum() + V.sum())
+    if got != size:
         raise ConstructionError(
-            f"{kind.value} construction for n={n} has size "
-            f"{len(outer) + len(inner)}, expected {size}"
+            f"{kind.value} construction for n={n} has size {got}, expected {size}"
         )
-    U, V, cu, cv = _counts(n, outer, inner)
-    in_range_u = (cu >= 1) & (cu <= 2)
-    in_range_v = (cv >= 1) & (cv <= 2)
-    if kind.covers_members:
-        ok = bool(np.all(in_range_u) and np.all(in_range_v))
-    else:
-        ok = bool(np.all((U == 1) | in_range_u) and np.all((V == 1) | in_range_v))
-    if not ok:
+    cu, cv = counts(n, 2, U, V)
+    if not (kind.accepts(cu, U).all() and kind.accepts(cv, V).all()):
         raise ConstructionError(
             f"{kind.value} construction for n={n} failed validation"
         )
+    return U, V
 
 
 def build_construction(n: int, kind: DominationKind) -> Construction:
@@ -176,7 +162,7 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
         if n < 5:
             raise ParameterError(f"construct_one_two requires n >= 5, got n={n}")
         if n == 7:
-            outer, inner = map(list, _SMALL_CASES[7])
+            outer, inner = _SMALL_CASES[7]
             source = ConstructionSource.SMALL_CASE_TABLE
         else:
             outer, inner, source = _pattern_one_two(n)
@@ -193,8 +179,8 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
             f"constructions exist for one-two and one-two-total only, "
             f"got {kind.value}"
         )
-    _validate(n, outer, inner, kind, size)
-    return Construction(n, kind, source, _materialize(outer, inner))
+    U, V = _validate(n, outer, inner, kind, size)
+    return Construction(n, kind, source, VertexSet.from_arrays(U, V))
 
 
 def construct_one_two(n: int) -> VertexSet:

@@ -7,6 +7,11 @@ Four predicates over a vertex subset S, stated via c(v) = |N(v) & S|:
 * ONE_TWO:        1 <= c(v) <= 2   for every v not in S,
 * ONE_TWO_TOTAL:  1 <= c(v) <= 2   for every v.
 
+Every layer states them through ``DominationKind.accepts(count, member)``
+(on ints or numpy arrays).  ``is_valid`` and the constructions get c from
+the one neighbour-count kernel ``counts(n, k, outer, inner)``; the brute
+force and the transfer DP apply ``accepts`` to their own running counts.
+
 ``is_valid`` reports every offending vertex (never just the first), so
 tests can assert exact violation sets.  Counts are recomputed from
 scratch on each call; nothing is cached.
@@ -34,6 +39,7 @@ __all__ = [
     "Violation",
     "ValidationReport",
     "domination_count",
+    "counts",
     "is_valid",
     "gamma_s",
     "blocks_by_count",
@@ -64,6 +70,16 @@ class DominationKind(Enum):
     def upper_bounded(self) -> bool:
         """Whether the condition caps the count at two."""
         return self in (DominationKind.ONE_TWO, DominationKind.ONE_TWO_TOTAL)
+
+    def accepts(self, count, member):
+        """Whether a vertex with ``count`` neighbours in S, itself in S when
+        ``member`` is nonzero, satisfies this kind; elementwise on arrays."""
+        ok = count >= 1
+        if self.upper_bounded:
+            ok = ok & (count <= 2)
+        if not self.covers_members:
+            ok = ok | (member != 0)
+        return ok
 
     @classmethod
     def from_text(cls, text: str) -> "DominationKind":
@@ -105,49 +121,39 @@ def domination_count(g: PetersenGraph, S: VertexSet, v: Vertex) -> int:
     return sum(1 for w in g.neighbors(v) if w in S)
 
 
-def _membership_arrays(g: PetersenGraph, S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    outer = np.zeros(g.n, dtype=np.int8)
-    inner = np.zeros(g.n, dtype=np.int8)
-    for v in S.members:
-        if not g.contains(v):
-            raise ParameterError(f"vertex {v.name} has index outside [0, {g.n})")
-        if v.ring is Ring.OUTER:
-            outer[v.index] = 1
-        else:
-            inner[v.index] = 1
-    return outer, inner
+def counts(
+    n: int, k: int, outer: np.ndarray, inner: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """|N(u_i) & S| and |N(v_i) & S| for all columns i of P(n,k), given
+    the length-n 0/1 membership arrays of S on each ring."""
 
+    def roll(a: np.ndarray, shift: int) -> np.ndarray:
+        # np.roll(a, shift) without np.roll's per-call overhead, which
+        # dominates at the small n the solvers validate
+        cut = (n - shift) % n
+        return np.concatenate((a[cut:], a[:cut]))
 
-def neighbor_counts(g: PetersenGraph, S: VertexSet) -> tuple[np.ndarray, np.ndarray]:
-    """Vectors of |N(u_i) & S| and |N(v_i) & S| for all columns i."""
-    outer, inner = _membership_arrays(g, S)
-    cu = np.roll(outer, 1) + np.roll(outer, -1) + inner
-    cv = np.roll(inner, g.k) + np.roll(inner, -g.k) + outer
+    cu = roll(outer, 1) + roll(outer, -1) + inner
+    cv = roll(inner, k) + roll(inner, -k) + outer
     return cu, cv
 
 
 def is_valid(g: PetersenGraph, S: VertexSet, kind: DominationKind) -> ValidationReport:
     """Check the domination predicate, listing every offending vertex."""
-    outer, inner = _membership_arrays(g, S)
-    cu = np.roll(outer, 1) + np.roll(outer, -1) + inner
-    cv = np.roll(inner, g.k) + np.roll(inner, -g.k) + outer
+    outer, inner = S.arrays(g.n)
+    cu, cv = counts(g.n, g.k, outer, inner)
     violations: list[Violation] = []
-    for ring, member, counts in ((Ring.OUTER, outer, cu), (Ring.INNER, inner, cv)):
-        for i in range(g.n):
-            if not kind.covers_members and member[i]:
-                continue
-            c = int(counts[i])
-            if c < 1:
-                violations.append(Violation(Vertex(ring, i), c, Bound.TOO_FEW))
-            elif kind.upper_bounded and c > 2:
-                violations.append(Violation(Vertex(ring, i), c, Bound.TOO_MANY))
-    violations.sort(key=lambda w: w.vertex.sort_key())
+    for ring, member, c in ((Ring.OUTER, outer, cu), (Ring.INNER, inner, cv)):
+        for i in np.flatnonzero(~kind.accepts(c, member)).tolist():
+            count = int(c[i])
+            bound = Bound.TOO_FEW if count < 1 else Bound.TOO_MANY
+            violations.append(Violation(Vertex(ring, i), count, bound))
     return ValidationReport(not violations, tuple(violations))
 
 
 def gamma_s(g: PetersenGraph, S: VertexSet, U: VertexSet) -> int:
     """|U & S|."""
-    return len(U.members & S.members)
+    return len(U & S)
 
 
 def blocks_by_count(g: PetersenGraph, S: VertexSet) -> dict[int, list[Block]]:
@@ -188,7 +194,7 @@ def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockT
     v_{i+1}, which would leave the block's central vertex undominated
     and therefore contradicts S being a valid [1,2]-dominating set.
     """
-    hit = b.vertex_set.members & S.members
+    hit = b.vertex_set & S
     if len(hit) != 1:
         raise ParameterError(
             f"block centered at {b.center} has gamma_S = {len(hit)}, expected 1"
@@ -233,10 +239,9 @@ def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
     Raises CensusError if any member has induced degree 0 or 3.
     """
     members = S.sorted()
-    member_set = S.members
     adj: dict[Vertex, list[Vertex]] = {}
     for v in members:
-        nbrs = [w for w in g.neighbors(v) if w in member_set]
+        nbrs = [w for w in g.neighbors(v) if w in S]
         if len(nbrs) == 0 or len(nbrs) == 3:
             raise CensusError(
                 f"vertex {v.name} has induced degree {len(nbrs)}; the input "

@@ -5,6 +5,10 @@ vertices v_0..v_{n-1}, spokes u_i-v_i and inner skip edges v_i-v_{i+k}
 (all indices modulo n).  Adjacency is computed arithmetically, so a graph
 is just the pair (n, k) and neighbor queries cost O(1) regardless of n.
 
+Every layer shares one vertex-set representation, two bitmasks (see
+``VertexSet``); ``Vertex`` objects are built only at the edges: parsing
+names, neighbor queries and the derived views of a set.
+
 Two proof-oriented partitions of P(n,2) are exposed as queryable objects:
 
 * blocks: six-vertex windows {v_{i-1}, v_i, v_{i+1}, u_{i-1}, u_i, u_{i+1}}
@@ -18,16 +22,17 @@ concurrent use.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import ParameterError
 
 __all__ = [
     "Ring",
     "Vertex",
-    "cached_vertex",
     "VertexSet",
     "BlockSign",
     "Block",
@@ -60,15 +65,6 @@ class Vertex:
     ring: Ring
     index: int
 
-    def __post_init__(self) -> None:
-        # precomputed: vertices are hashed heavily by set machinery
-        object.__setattr__(
-            self, "_hash", hash((self.ring is Ring.INNER, self.index))
-        )
-
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
-
     @property
     def name(self) -> str:
         return f"{self.ring.value}{self.index}"
@@ -83,69 +79,108 @@ class Vertex:
         return f"Vertex({self.name})"
 
 
-_OUTER_CACHE: dict[int, Vertex] = {}
-_INNER_CACHE: dict[int, Vertex] = {}
-
-
-def cached_vertex(ring: Ring, index: int) -> Vertex:
-    """Interned Vertex instances; equality semantics are unchanged."""
-    cache = _OUTER_CACHE if ring is Ring.OUTER else _INNER_CACHE
-    v = cache.get(index)
-    if v is None:
-        v = Vertex(ring, index)
-        cache[index] = v
-    return v
-
-
 def parse_vertex(name: str, n: int) -> Vertex:
     """Parse "u<i>" / "v<i>" into a Vertex, reducing the index mod n."""
     m = _VERTEX_RE.match(name.strip())
     if m is None:
         raise ParameterError(f"vertex name must match u<i> or v<i>, got {name!r}")
     ring = Ring.OUTER if m.group(1) == "u" else Ring.INNER
-    return cached_vertex(ring, int(m.group(2)) % n)
+    return Vertex(ring, int(m.group(2)) % n)
+
+
+def _unpack(mask: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of a non-negative int below 2^n, as a uint8 array."""
+    raw = mask.to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> int:
+    """The int whose bit i is set exactly when bits[i] is nonzero."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def _indices(mask: int) -> list[int]:
+    """Positions of the set bits of a non-negative int, ascending."""
+    return np.flatnonzero(_unpack(mask, mask.bit_length())).tolist()
 
 
 @dataclass(frozen=True)
 class VertexSet:
-    """An immutable subset S of the vertices, with O(1) membership tests.
+    """An immutable subset S of the vertices, stored as two bitmasks.
 
-    Text form is the comma-separated list of vertex names in canonical
-    order, e.g. "u1,u4,v1,v4".
+    Bit i of ``outer`` is set when u_i is in S, bit i of ``inner`` when
+    v_i is, so equality, hashing, ``|``, ``&`` and ``len`` are those of
+    ints.  S does not know n: ``arrays(n)``, which validators go through,
+    rejects indices >= n.  ``members``, iteration and ``sorted()`` build
+    ``Vertex`` objects on demand.  Text form is the comma-separated list
+    of vertex names in canonical order, e.g. "u1,u4,v1,v4".
     """
 
-    members: frozenset[Vertex] = field(default_factory=frozenset)
+    outer: int = 0
+    inner: int = 0
 
     @classmethod
     def of(cls, vertices: Iterable[Vertex]) -> "VertexSet":
-        return cls(frozenset(vertices))
+        outer = inner = 0
+        for v in vertices:
+            if v.index < 0:
+                raise ParameterError(f"vertex {v.name} has a negative index")
+            if v.ring is Ring.OUTER:
+                outer |= 1 << v.index
+            else:
+                inner |= 1 << v.index
+        return cls(outer, inner)
 
     @classmethod
     def from_names(cls, names: Iterable[str] | str, n: int) -> "VertexSet":
         if isinstance(names, str):
             names = [s for s in names.split(",") if s.strip()]
-        return cls(frozenset(parse_vertex(s, n) for s in names))
+        return cls.of(parse_vertex(s, n) for s in names)
+
+    @classmethod
+    def from_arrays(cls, outer: np.ndarray, inner: np.ndarray) -> "VertexSet":
+        """The set of u_i with outer[i] != 0 and v_i with inner[i] != 0."""
+        return cls(_pack(outer), _pack(inner))
+
+    def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Length-n uint8 membership arrays (outer, inner) of S; raises
+        ParameterError naming the first member with index >= n."""
+        for ring, mask in ((Ring.OUTER, self.outer), (Ring.INNER, self.inner)):
+            if mask >> n:
+                v = Vertex(ring, n + _indices(mask >> n)[0])
+                raise ParameterError(f"vertex {v.name} has index outside [0, {n})")
+        return _unpack(self.outer, n), _unpack(self.inner, n)
+
+    @property
+    def members(self) -> frozenset[Vertex]:
+        return frozenset(self.sorted())
 
     def __contains__(self, v: Vertex) -> bool:
-        return v in self.members
+        mask = self.outer if v.ring is Ring.OUTER else self.inner
+        return v.index >= 0 and (mask >> v.index) & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.outer.bit_count() + self.inner.bit_count()
 
     def __iter__(self) -> Iterator[Vertex]:
         return iter(self.sorted())
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.members | other.members)
+        return VertexSet(self.outer | other.outer, self.inner | other.inner)
 
     def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.members & other.members)
+        return VertexSet(self.outer & other.outer, self.inner & other.inner)
 
     def sorted(self) -> list[Vertex]:
-        return sorted(self.members, key=Vertex.sort_key)
+        return [Vertex(Ring.OUTER, i) for i in _indices(self.outer)] + [
+            Vertex(Ring.INNER, i) for i in _indices(self.inner)
+        ]
 
     def names(self) -> list[str]:
-        return [v.name for v in self.sorted()]
+        return [f"u{i}" for i in _indices(self.outer)] + [
+            f"v{i}" for i in _indices(self.inner)
+        ]
 
     def text(self) -> str:
         return ",".join(self.names())
@@ -172,7 +207,7 @@ class Block:
 
     @property
     def vertex_set(self) -> VertexSet:
-        return VertexSet(frozenset(self.vertices))
+        return VertexSet.of(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -189,7 +224,7 @@ class Pair:
 
     @property
     def vertex_set(self) -> VertexSet:
-        return VertexSet(frozenset(self.vertices))
+        return VertexSet.of(self.vertices)
 
 
 @dataclass(frozen=True)
@@ -224,20 +259,20 @@ class PetersenGraph:
         return 3 * self.n
 
     def outer(self, i: int) -> Vertex:
-        return cached_vertex(Ring.OUTER, i % self.n)
+        return Vertex(Ring.OUTER, i % self.n)
 
     def inner(self, i: int) -> Vertex:
-        return cached_vertex(Ring.INNER, i % self.n)
+        return Vertex(Ring.INNER, i % self.n)
 
     def vertices(self) -> Iterator[Vertex]:
         """All 2n vertices in canonical order."""
         for i in range(self.n):
-            yield cached_vertex(Ring.OUTER, i)
+            yield Vertex(Ring.OUTER, i)
         for i in range(self.n):
-            yield cached_vertex(Ring.INNER, i)
+            yield Vertex(Ring.INNER, i)
 
     def vertex_set(self) -> VertexSet:
-        return VertexSet(frozenset(self.vertices()))
+        return VertexSet.of(self.vertices())
 
     def contains(self, v: Vertex) -> bool:
         return 0 <= v.index < self.n
@@ -279,8 +314,8 @@ class PetersenGraph:
         cols = [(i - 1) % self.n, i, (i + 1) % self.n]
         odd = sum(c % 2 for c in cols)
         sign = BlockSign.POSITIVE if odd == 2 else BlockSign.NEGATIVE
-        verts = [cached_vertex(Ring.INNER, c) for c in cols]
-        verts += [cached_vertex(Ring.OUTER, c) for c in cols]
+        verts = [Vertex(Ring.INNER, c) for c in cols]
+        verts += [Vertex(Ring.OUTER, c) for c in cols]
         return Block(i, tuple(sorted(verts, key=Vertex.sort_key)), sign)
 
     def blocks(self) -> Iterator[Block]:
@@ -300,7 +335,7 @@ class PetersenGraph:
     def pair_at(self, i: int) -> Pair:
         """The pair {u_i, v_i}; the index is reduced mod n."""
         i %= self.n
-        return Pair(i, cached_vertex(Ring.OUTER, i), cached_vertex(Ring.INNER, i))
+        return Pair(i, Vertex(Ring.OUTER, i), Vertex(Ring.INNER, i))
 
     def pairs(self) -> Iterator[Pair]:
         for i in range(self.n):

@@ -101,9 +101,7 @@ class _ExactSearch:
     def __init__(self, g: PetersenGraph, kind: DominationKind):
         n = g.n
         self.order = 2 * n
-        self.kind = kind
         self.covers_members = kind.covers_members
-        self.upper = kind.upper_bounded
         # one pick satisfies at most this many vertices still lacking a
         # dominator (3 neighbors, plus itself unless members also need one)
         self.cover = 3 if self.covers_members else 4
@@ -118,17 +116,13 @@ class _ExactSearch:
         self.finalize: list[list[int]] = [[] for _ in range(self.order)]
         for r in range(self.order):
             self.finalize[max(r, *self.nbrs[r])].append(r)
+        # ok[member][count]: kind.accepts tabulated once, since the
+        # search consults it at every node
+        self.ok = [[kind.accepts(c, m) for c in range(4)] for m in (0, 1)]
         self.counts = [0] * self.order
         self.in_set = 0
         self.zeromask = (1 << self.order) - 1
         self.m = 0
-
-    def _sat(self, count: int, member: bool) -> bool:
-        if member and not self.covers_members:
-            return True
-        if count < 1:
-            return False
-        return not (self.upper and count > 2)
 
     def search(self, m: int) -> int | None:
         """Return the bitmask of the lexicographically smallest valid set
@@ -141,7 +135,7 @@ class _ExactSearch:
             if self.zeromask:
                 return None
             for w in range(self.order):
-                if not self._sat(self.counts[w], bool((self.in_set >> w) & 1)):
+                if not self.ok[(self.in_set >> w) & 1][self.counts[w]]:
                     return None
             return self.in_set
         if p == self.order or self.m - picked > self.order - p:
@@ -164,19 +158,16 @@ class _ExactSearch:
             if c == 1:
                 if (self.zeromask >> w) & 1:
                     undo |= 1 << w
-            elif c == 3 and self.upper:
-                # counts only grow, so a decided vertex stuck above the
-                # cap can never recover
-                if w < p:
-                    member = bool((self.in_set >> w) & 1)
-                    if self.covers_members or not member:
-                        ok = False
-                elif self.covers_members:
+            elif c == 3:
+                # counts only grow, so a vertex refused at 3 can never
+                # recover; an undecided one is judged as a member, its
+                # best case
+                if not self.ok[(self.in_set >> w) & 1 if w < p else 1][3]:
                     ok = False
         self.zeromask &= ~undo
         if ok:
             for w in self.finalize[p]:
-                if not self._sat(counts[w], bool((self.in_set >> w) & 1)):
+                if not self.ok[(self.in_set >> w) & 1][counts[w]]:
                     ok = False
                     break
         if ok and self.zeromask.bit_count() > self.cover * (self.m - picked - 1):
@@ -189,10 +180,10 @@ class _ExactSearch:
         return res
 
     def _exclude(self, p: int, picked: int) -> int | None:
-        if self.upper and self.counts[p] >= 3:
+        if self.counts[p] == 3 and not self.ok[0][3]:
             return None
         for w in self.finalize[p]:
-            if not self._sat(self.counts[w], bool((self.in_set >> w) & 1)):
+            if not self.ok[(self.in_set >> w) & 1][self.counts[w]]:
                 return None
         if self.zeromask.bit_count() > self.cover * (self.m - picked):
             return None
@@ -221,7 +212,7 @@ def brute_force_min(
     for m in range(min(lower, upper + 1), upper + 1):
         mask = search.search(m)
         if mask is not None:
-            witness = _mask_to_set(mask, g.n)
+            witness = VertexSet(mask & ((1 << g.n) - 1), mask >> g.n)
             return SolveResult(g.n, g.k, kind, m, witness, SolveMethod.BRUTE_FORCE)
     if budget is not None:
         raise InfeasibleError(
@@ -229,15 +220,6 @@ def brute_force_min(
             f"P({g.n},{g.k})"
         )
     raise InfeasibleError(f"no valid {kind.value} set exists in P({g.n},{g.k})")
-
-
-def _mask_to_set(mask: int, n: int) -> VertexSet:
-    members = []
-    for r in range(2 * n):
-        if (mask >> r) & 1:
-            ring = Ring.OUTER if r < n else Ring.INNER
-            members.append(Vertex(ring, r % n))
-    return VertexSet.of(members)
 
 
 @dataclass(frozen=True)
@@ -257,10 +239,8 @@ class PairProfile:
 def pair_profile(g: PetersenGraph, S: VertexSet) -> PairProfile:
     """The profile of S over the n column pairs of P(n,2)."""
     g._require_k2("pair_profile")
-    counts = [0] * g.n
-    for v in S.members:
-        counts[v.index] += 1
-    return PairProfile(tuple(counts))
+    outer, inner = S.arrays(g.n)
+    return PairProfile(tuple((outer + inner).tolist()))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ every adjacency of P(n,2) stays within a window of at most four
 consecutive columns (the outer cycle links neighboring columns, spokes
 stay inside a column, and the inner ring skips two columns).  Columns
 are decided left to right and each vertex's constraint is checked at the
-first column by which its whole neighborhood is decided.
+first column by which its whole neighborhood is decided, using
+``DominationKind.accepts``.
 
 State (the "interface" entering column j) is six membership bits:
 
@@ -50,7 +51,7 @@ import numpy as np
 
 from .domination import DominationKind
 from .errors import InfeasibleError, InternalError, ParameterError
-from .graph import Ring, Vertex, VertexSet
+from .graph import VertexSet
 from .solver import SolveMethod, SolveResult
 
 __all__ = ["dp_min"]
@@ -58,14 +59,6 @@ __all__ = ["dp_min"]
 _N_STATES = 64
 _DUMMY = _N_STATES  # index of the infinite-cost padding row/column
 _INF = np.float32(np.inf)
-
-
-def _sat(count: int, member: int, kind: DominationKind) -> bool:
-    if member and not kind.covers_members:
-        return True
-    if count < 1:
-        return False
-    return not (kind.upper_bounded and count > 2)
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,7 @@ def _build_machine(kind: DominationKind) -> _Machine:
         for s in range(_N_STATES):
             u2, u1 = s & 1, (s >> 1) & 1
             v4, v3, v2, v1 = (s >> 2) & 1, (s >> 3) & 1, (s >> 4) & 1, (s >> 5) & 1
-            if _sat(u2 + a + v1, u1, kind) and _sat(v4 + b + u2, v2, kind):
+            if kind.accepts(u2 + a + v1, u1) and kind.accepts(v4 + b + u2, v2):
                 succ[c, s] = u1 | (a << 1) | (v3 << 2) | (v2 << 3) | (v1 << 4) | (b << 5)
     pre = np.full((4, _N_STATES, 4), _DUMMY, dtype=np.int64)
     for c in range(4):
@@ -219,9 +212,7 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
         v_bits.append(bit)
         forward = _forward_step(forward, (u_bits[j] | (bit << 1),), m)
 
-    members = [Vertex(Ring.OUTER, j) for j in range(n) if u_bits[j]]
-    members += [Vertex(Ring.INNER, j) for j in range(n) if v_bits[j]]
-    witness = VertexSet.of(members)
+    witness = VertexSet.from_arrays(u_bits, v_bits)
     if len(witness) != minimum:
         raise InternalError(
             f"reconstructed witness has size {len(witness)}, expected {minimum}"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,8 @@ from petdom import (
     ComponentCensus,
     DominationKind,
     ParameterError,
+    Ring,
+    Vertex,
     VertexSet,
     blocks_by_count,
     build_petersen,
@@ -69,6 +72,32 @@ class TestDominationCount:
             assert domination_count(g, full, v) == 3
 
 
+# the four predicates of the domination module docstring, for a vertex
+# with c neighbours in S that is (m = 1) or is not (m = 0) itself in S
+DOCSTRING_PREDICATES = {
+    K.PLAIN: lambda c, m: m == 1 or c >= 1,
+    K.TOTAL: lambda c, m: c >= 1,
+    K.ONE_TWO: lambda c, m: m == 1 or 1 <= c <= 2,
+    K.ONE_TWO_TOTAL: lambda c, m: 1 <= c <= 2,
+}
+
+
+class TestAccepts:
+    @pytest.mark.parametrize("kind", list(K))
+    def test_scalar_matches_docstring(self, kind):
+        for c in range(4):
+            for m in (0, 1):
+                assert kind.accepts(c, m) is DOCSTRING_PREDICATES[kind](c, m)
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_array_form_is_elementwise(self, kind):
+        c = np.repeat(np.arange(4, dtype=np.uint8), 2)
+        m = np.tile(np.array([0, 1], dtype=np.uint8), 4)
+        got = kind.accepts(c, m)
+        assert got.dtype == np.bool_
+        assert got.tolist() == [kind.accepts(int(x), int(y)) for x, y in zip(c, m)]
+
+
 class TestIsValid:
     def test_s5_one_two_valid(self):
         g = build_petersen(5, 2)
@@ -95,6 +124,12 @@ class TestIsValid:
         offenders = {w.vertex.name: w for w in report.violations}
         assert offenders["v1"].count == 3
         assert offenders["v1"].bound is Bound.TOO_MANY
+
+    def test_rejects_index_outside_n(self):
+        g = build_petersen(5, 2)
+        S = VertexSet.of([Vertex(Ring.OUTER, 1), Vertex(Ring.OUTER, 5)])
+        with pytest.raises(ParameterError, match=r"vertex u5 has index outside \[0, 5\)"):
+            is_valid(g, S, K.PLAIN)
 
     def test_violations_sorted_canonically(self):
         g = build_petersen(6, 2)

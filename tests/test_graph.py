@@ -186,3 +186,47 @@ class TestTextForms:
         assert (s & t).text() == "v1"
         assert parse_vertex("u1", 5) in s
         assert len(s) == 2
+
+
+vertices_below_70 = st.builds(Vertex, st.sampled_from(list(Ring)), st.integers(0, 69))
+
+
+class TestVertexSetModel:
+    """VertexSet against a frozenset of Vertex objects as the model."""
+
+    @given(
+        a=st.frozensets(vertices_below_70, max_size=40),
+        b=st.frozensets(vertices_below_70, max_size=40),
+    )
+    def test_matches_frozenset(self, a, b):
+        A, B = VertexSet.of(a), VertexSet.of(b)
+        assert len(A) == len(a)
+        assert A.members == a
+        assert (A | B).members == a | b
+        assert (A & B).members == a & b
+        assert (A == B) == (a == b)
+        canonical = sorted(a, key=lambda v: (v.ring is Ring.INNER, v.index))
+        assert A.names() == [v.name for v in canonical]
+        assert list(A) == A.sorted() == canonical
+        for ring in Ring:
+            for i in range(70):
+                assert (Vertex(ring, i) in A) == (Vertex(ring, i) in a)
+        assert VertexSet.from_arrays(*A.arrays(70)) == A
+
+    def test_names_round_trip_large(self):
+        from petdom.constructions import construct_one_two_total
+
+        S = construct_one_two_total(9997)
+        T = VertexSet.from_names(S.names(), 9997)
+        assert T == S
+        assert hash(T) == hash(S)
+
+    def test_of_rejects_negative_index(self):
+        with pytest.raises(ParameterError, match="vertex u-1 has a negative index"):
+            VertexSet.of([Vertex(Ring.OUTER, -1)])
+
+    def test_arrays_reject_index_outside_n(self):
+        S = VertexSet.of([Vertex(Ring.INNER, 2), Vertex(Ring.INNER, 9)])
+        with pytest.raises(ParameterError, match=r"vertex v9 has index outside \[0, 5\)"):
+            S.arrays(5)
+        assert S.arrays(10)[1].tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 1]

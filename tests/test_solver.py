@@ -8,9 +8,11 @@ from petdom import (
     InternalError,
     PairProfile,
     ParameterError,
+    Ring,
     SizeLimitError,
     SolveMethod,
     SolveResult,
+    Vertex,
     VertexSet,
     blocks_by_count,
     brute_force_min,
@@ -106,6 +108,17 @@ class TestPairProfile:
     def test_full(self):
         g = build_petersen(6, 2)
         assert pair_profile(g, g.vertex_set()).values == (2,) * 6
+
+    def test_rejects_negative_index(self):
+        g = build_petersen(5, 2)
+        with pytest.raises(ParameterError, match="u-1"):
+            pair_profile(g, VertexSet.of([Vertex(Ring.OUTER, -1)]))
+
+    def test_rejects_index_outside_n(self):
+        g = build_petersen(5, 2)
+        S = VertexSet.of([Vertex(Ring.OUTER, 7)])
+        with pytest.raises(ParameterError, match=r"vertex u7 has index outside \[0, 5\)"):
+            pair_profile(g, S)
 
 
 class TestCheckEq1:
