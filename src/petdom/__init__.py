@@ -56,7 +56,7 @@ from .solver import (
     enumerate_eq1,
     pair_profile,
 )
-from .transfer import dp_min
+from .transfer import dp_min, dp_minima
 
 __version__ = "0.1.0"
 
@@ -98,6 +98,7 @@ __all__ = [
     "component_census",
     "domination_count",
     "dp_min",
+    "dp_minima",
     "enumerate_eq1",
     "f_one_two",
     "g_one_two_total",

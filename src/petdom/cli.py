@@ -25,7 +25,7 @@ from .errors import InternalError, PetdomError
 from .formulas import f_one_two, g_one_two_total, gamma_ref, gamma_t_ref
 from .graph import PetersenGraph, VertexSet
 from .solver import brute_force_min, check_eq1, enumerate_eq1
-from .transfer import dp_min
+from .transfer import dp_min, dp_minima
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 1
@@ -97,9 +97,9 @@ def cmd_verify(args) -> int:
     formula = _FORMULAS[kind]
     rows = []
     all_match = True
-    for n in range(args.start, args.end + 1):
+    dp = dp_minima(args.start, args.end, kind)
+    for n, got in zip(range(args.start, args.end + 1), dp):
         expected = formula(n)
-        got = dp_min(n, kind).minimum
         match = expected == got
         all_match &= match
         rows.append([n, expected, got, match])
@@ -153,20 +153,11 @@ def cmd_table(args) -> int:
         "dp_one_two",
         "dp_one_two_total",
     ]
+    columns = [dp_minima(args.start, args.end, kind) for kind in DominationKind]
     rows = []
-    for n in range(args.start, args.end + 1):
+    for n, *dp in zip(range(args.start, args.end + 1), *columns):
         rows.append(
-            [
-                n,
-                gamma_ref(n),
-                gamma_t_ref(n),
-                f_one_two(n),
-                g_one_two_total(n),
-                dp_min(n, DominationKind.PLAIN).minimum,
-                dp_min(n, DominationKind.TOTAL).minimum,
-                dp_min(n, DominationKind.ONE_TWO).minimum,
-                dp_min(n, DominationKind.ONE_TWO_TOTAL).minimum,
-            ]
+            [n, gamma_ref(n), gamma_t_ref(n), f_one_two(n), g_one_two_total(n), *dp]
         )
     if args.format == "json":
         _emit_json([dict(zip(header, r)) for r in rows])

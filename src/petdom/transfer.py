@@ -41,6 +41,21 @@ combined with backward tables (cost to finish per state/interface), so
 the returned witness is the lexicographically smallest minimum set, the
 same tie-break the brute-force solver uses.  Memory for the backward
 tables is O(n) 64x64 matrices.
+
+Range sweep.  With no forced u-choices, the backward table of a suffix
+of L columns is M^L, the L-th min-plus power of the 64x64 one-column
+matrix M (the four choices merged), whatever n is: the same column step
+is applied L times to the min-plus identity.  So the minimum for n is
+the smallest diagonal entry of M^n, and ``dp_minima(lo, hi, kind)``
+reads every minimum in lo..hi off one forward chain of hi column steps
+holding a single table, where calling ``dp_min`` per n costs two O(n)
+families and a witness each.
+
+Exactness bound.  Costs are float32, whose integers are exact only up
+to 2^24.  A column costs at most 2, so every table entry of an n-column
+chain is an integer at most 2n, and n <= 2^23 keeps all of them exact.
+``dp_min`` and ``dp_minima`` refuse larger n with ``SizeLimitError``
+before allocating anything.
 """
 
 from __future__ import annotations
@@ -50,15 +65,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domination import DominationKind
-from .errors import InfeasibleError, InternalError, ParameterError
+from .errors import InfeasibleError, InternalError, ParameterError, SizeLimitError
 from .graph import VertexSet
 from .solver import SolveMethod, SolveResult
 
-__all__ = ["dp_min"]
+__all__ = ["dp_min", "dp_minima"]
 
 _N_STATES = 64
 _DUMMY = _N_STATES  # index of the infinite-cost padding row/column
 _INF = np.float32(np.inf)
+_ALL_CHOICES = (0, 1, 2, 3)
+_MAX_N = 2**23  # costs stay <= 2 * _MAX_N = 2^24, where float32 is still exact
+
+
+def _check_exact(n: int) -> None:
+    if n > _MAX_N:
+        raise SizeLimitError(
+            f"float32 costs are exact only for n <= 2^23 = {_MAX_N}, got n={n}"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,6 +149,19 @@ def _pad_cols(table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_step(
+    table: np.ndarray, choices: tuple[int, ...], m: _Machine
+) -> np.ndarray:
+    """One backward column: T'[s, i] = min over c in choices of
+    T[succ[c, s], i] + cost(c)."""
+    padded = _pad_rows(table)
+    best: np.ndarray | None = None
+    for c in choices:
+        cand = padded[m.succ[c]] + m.cost[c]
+        best = cand if best is None else np.minimum(best, cand)
+    return best
+
+
 def _backward_family(
     n: int, m: _Machine, allowed_u: list[int] | None
 ) -> list[np.ndarray]:
@@ -134,15 +171,20 @@ def _backward_family(
     family: list[np.ndarray] = [np.empty(0)] * (n + 1)
     family[n] = _identity()
     for j in range(n - 1, -1, -1):
-        nxt = _pad_rows(family[j + 1])
-        best: np.ndarray | None = None
-        for c in range(4):
-            if allowed_u is not None and (c & 1) != allowed_u[j]:
-                continue
-            cand = nxt[m.succ[c]] + m.cost[c]
-            best = cand if best is None else np.minimum(best, cand)
-        family[j] = best
+        if allowed_u is None:
+            choices = _ALL_CHOICES
+        else:
+            choices = (allowed_u[j], allowed_u[j] | 2)
+        family[j] = _column_step(family[j + 1], choices, m)
     return family
+
+
+def _closed_minimum(table: np.ndarray, n: int, kind: DominationKind) -> int:
+    """Smallest closed-tour cost (diagonal entry) of an n-column table."""
+    minimum = float(np.diagonal(table).min())
+    if not np.isfinite(minimum):
+        raise InfeasibleError(f"no valid {kind.value} set exists in P({n},2)")
+    return int(minimum)
 
 
 def _forward_step(
@@ -185,13 +227,11 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     """
     if n < 5:
         raise ParameterError(f"dp_min requires n >= 5, got n={n}")
+    _check_exact(n)
     m = _machine(kind)
 
     backward = _backward_family(n, m, None)
-    minimum = float(np.diagonal(backward[0]).min())
-    if not np.isfinite(minimum):
-        raise InfeasibleError(f"no valid {kind.value} set exists in P({n},2)")
-    minimum = int(minimum)
+    minimum = _closed_minimum(backward[0], n, kind)
 
     # phase 1: fix outer memberships greedily, inner choices left free
     u_bits: list[int] = []
@@ -218,3 +258,24 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
             f"reconstructed witness has size {len(witness)}, expected {minimum}"
         )
     return SolveResult(n, 2, kind, minimum, witness, SolveMethod.TRANSFER_DP)
+
+
+def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:
+    """Exact minimum of the given kind for every n in lo..hi, in order.
+
+    Equal to ``[dp_min(n, kind).minimum for n in range(lo, hi + 1)]``,
+    from one chain of hi column steps (see the range sweep above).
+    """
+    if lo < 5:
+        raise ParameterError(f"dp_minima requires lo >= 5, got lo={lo}")
+    if lo > hi:
+        raise ParameterError(f"dp_minima requires lo <= hi, got lo={lo}, hi={hi}")
+    _check_exact(hi)
+    m = _machine(kind)
+    table = _identity()
+    minima: list[int] = []
+    for n in range(1, hi + 1):
+        table = _column_step(table, _ALL_CHOICES, m)
+        if n >= lo:
+            minima.append(_closed_minimum(table, n, kind))
+    return minima

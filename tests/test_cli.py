@@ -265,6 +265,31 @@ PINNED_STDOUT = {
         "n=8 formula=6 dp=6 ok\n"
         "n=9 formula=6 dp=6 ok\n"
         "all match: True\n",
+    ("table", "--from", "5", "--to", "9", "--format", "json"):
+        '[{"n": 5, "gamma_ref": 3, "gamma_t_ref": 4, "f": 4, "g": 5, '
+        '"dp_plain": 3, "dp_total": 4, "dp_one_two": 4, "dp_one_two_total": 5}, '
+        '{"n": 6, "gamma_ref": 4, "gamma_t_ref": 4, "f": 4, "g": 4, '
+        '"dp_plain": 4, "dp_total": 4, "dp_one_two": 4, "dp_one_two_total": 4}, '
+        '{"n": 7, "gamma_ref": 5, "gamma_t_ref": 6, "f": 5, "g": 6, '
+        '"dp_plain": 5, "dp_total": 6, "dp_one_two": 5, "dp_one_two_total": 6}, '
+        '{"n": 8, "gamma_ref": 5, "gamma_t_ref": 6, "f": 6, "g": 6, '
+        '"dp_plain": 5, "dp_total": 6, "dp_one_two": 6, "dp_one_two_total": 6}, '
+        '{"n": 9, "gamma_ref": 6, "gamma_t_ref": 6, "f": 6, "g": 6, '
+        '"dp_plain": 6, "dp_total": 6, "dp_one_two": 6, "dp_one_two_total": 6}]\n',
+    ("verify", "--kind", "one-two-total", "--from", "5", "--to", "9",
+     "--format", "csv"):
+        "n,formula,dp,match\n"
+        "5,5,5,True\n"
+        "6,4,4,True\n"
+        "7,6,6,True\n"
+        "8,6,6,True\n"
+        "9,6,6,True\n",
+    ("verify", "--kind", "plain", "--from", "5", "--to", "9", "--format", "json"):
+        '{"kind": "plain", "rows": [{"n": 5, "formula": 3, "dp": 3, "match": true}, '
+        '{"n": 6, "formula": 4, "dp": 4, "match": true}, '
+        '{"n": 7, "formula": 5, "dp": 5, "match": true}, '
+        '{"n": 8, "formula": 5, "dp": 5, "match": true}, '
+        '{"n": 9, "formula": 6, "dp": 6, "match": true}], "all_match": true}\n',
 }
 
 
