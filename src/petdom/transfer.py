@@ -39,17 +39,30 @@ commitments made so far.  Feasibility of each trial commitment is read
 off forward tables (cost of the committed prefix per interface/state)
 combined with backward tables (cost to finish per state/interface), so
 the returned witness is the lexicographically smallest minimum set, the
-same tie-break the brute-force solver uses.  Memory for the backward
-tables is O(n) 64x64 matrices.
+same tie-break the brute-force solver uses.  The outer bits are fixed
+first with the inner choices free (phase 1), then the inner bits with
+the outer ones frozen (phase 2).
 
-Range sweep.  With no forced u-choices, the backward table of a suffix
-of L columns is M^L, the L-th min-plus power of the 64x64 one-column
-matrix M (the four choices merged), whatever n is: the same column step
-is applied L times to the min-plus identity.  So the minimum for n is
-the smallest diagonal entry of M^n, and ``dp_minima(lo, hi, kind)``
-reads every minimum in lo..hi off one forward chain of hi column steps
-holding a single table, where calling ``dp_min`` per n costs two O(n)
-families and a witness each.
+Periodic free suffix tables.  With no forced choices, the backward table
+of a suffix of L columns is M^L, the L-th min-plus power of the 64x64
+one-column matrix M (the four choices merged), whatever n is.  These
+powers are eventually periodic: once M^L minus its smallest entry equals
+an earlier M^N minus its own, byte for byte, M^(N+p+L') = M^(N+L') + lam
+for every L' >= 0, where p = L - N and lam is the difference of the two
+smallest entries.  So one cached chain per kind holds only M^0..M^(N+p-1)
+and gives M^L for any L as M^(N + (L-N) % p) + lam * ((L-N) // p).  The
+minimum for n is the smallest diagonal entry of M^n; ``dp_minima`` reads
+it off the chain for every n in a range, and phase 1 reads its suffix
+tables from it.  Only phase 2, whose suffixes depend on the fixed outer
+bits, builds a backward family of its own.
+
+Live start interfaces.  Each row of the forward table is one start
+interface of the closed tour.  A row whose best closed total under the
+commitments made so far exceeds the minimum is dropped: a further
+commitment only removes tours, so its total can never fall back to the
+minimum, and the test "some row attains the minimum" reads the same
+without it.  In practice one to three rows are left after a few
+columns, so phase 2's backward family has one column per live row, not 64.
 
 Exactness bound.  Costs are float32, whose integers are exact only up
 to 2^24.  A column costs at most 2, so every table entry of an n-column
@@ -60,7 +73,8 @@ before allocating anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from typing import Callable
 
 import numpy as np
 
@@ -74,7 +88,7 @@ __all__ = ["dp_min", "dp_minima"]
 _N_STATES = 64
 _DUMMY = _N_STATES  # index of the infinite-cost padding row/column
 _INF = np.float32(np.inf)
-_ALL_CHOICES = (0, 1, 2, 3)
+_ALL_CHOICES = np.arange(4)
 _MAX_N = 2**23  # costs stay <= 2 * _MAX_N = 2^24, where float32 is still exact
 
 
@@ -85,137 +99,130 @@ def _check_exact(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _Machine:
-    """Precomputed transition tables for one domination kind.
+class _Chain:
+    """Transition tables of one kind and its free suffix tables M^L.
 
     succ[c, s]: successor state of s under choice c, or _DUMMY when the
     transition is infeasible.  pre[c, t] lists the up-to-four states s
-    with succ[c, s] == t (padded with _DUMMY).  cost[c] = popcount(c).
+    with succ[c, s] == t (padded with _DUMMY).  cost[c, 0, 0] = popcount(c).
+    tables holds M^0, M^1, ... padded to 65x64, extended on demand until
+    the periodicity described above closes with cycle = (N, p, lam).
     """
 
-    succ: np.ndarray
-    pre: np.ndarray
-    cost: np.ndarray
+    def __init__(self, kind: DominationKind) -> None:
+        self.succ = np.full((4, _N_STATES), _DUMMY, dtype=np.int64)
+        self.cost = np.zeros((4, 1, 1), dtype=np.float32)
+        for c in range(4):
+            a, b = c & 1, (c >> 1) & 1
+            self.cost[c] = a + b
+            for s in range(_N_STATES):
+                u2, u1 = s & 1, (s >> 1) & 1
+                v4, v3, v2, v1 = (s >> 2) & 1, (s >> 3) & 1, (s >> 4) & 1, (s >> 5) & 1
+                if kind.accepts(u2 + a + v1, u1) and kind.accepts(v4 + b + u2, v2):
+                    t = u1 | (a << 1) | (v3 << 2) | (v2 << 3) | (v1 << 4) | (b << 5)
+                    self.succ[c, s] = t
+        self.pre = np.full((4, _N_STATES, 4), _DUMMY, dtype=np.int64)
+        for c in range(4):
+            fill = [0] * _N_STATES
+            for s in range(_N_STATES):
+                t = self.succ[c, s]
+                if t != _DUMMY:
+                    self.pre[c, t, fill[t]] = s
+                    fill[t] += 1
+        identity = np.full((_N_STATES + 1, _N_STATES), _INF, dtype=np.float32)
+        np.fill_diagonal(identity, 0.0)
+        self.tables = [identity]
+        self.cycle: tuple[int, int, int] | None = None
+        self._seen = {identity.tobytes(): 0}  # table minus its minimum -> L
+        self._lock = threading.Lock()  # concurrent callers extend the chain once
+
+    def power(self, length: int) -> tuple[np.ndarray, int]:
+        """(table, offset) with M^length = table + offset."""
+        with self._lock:
+            while self.cycle is None and len(self.tables) <= length:
+                table = _column_step(self.tables[-1], _ALL_CHOICES, self)
+                low = table.min()
+                key = (table - low).tobytes()
+                if key in self._seen:
+                    start = self._seen[key]
+                    lam = int(low - self.tables[start].min())
+                    self.cycle = (start, len(self.tables) - start, lam)
+                    self._seen.clear()
+                else:
+                    self._seen[key] = len(self.tables)
+                    self.tables.append(table)
+        if length < len(self.tables):
+            return self.tables[length], 0
+        start, period, lam = self.cycle
+        periods, rest = divmod(length - start, period)
+        return self.tables[start + rest], lam * periods
 
 
-def _build_machine(kind: DominationKind) -> _Machine:
-    succ = np.full((4, _N_STATES), _DUMMY, dtype=np.int64)
-    cost = np.zeros(4, dtype=np.float32)
-    for c in range(4):
-        a, b = c & 1, (c >> 1) & 1
-        cost[c] = a + b
-        for s in range(_N_STATES):
-            u2, u1 = s & 1, (s >> 1) & 1
-            v4, v3, v2, v1 = (s >> 2) & 1, (s >> 3) & 1, (s >> 4) & 1, (s >> 5) & 1
-            if kind.accepts(u2 + a + v1, u1) and kind.accepts(v4 + b + u2, v2):
-                succ[c, s] = u1 | (a << 1) | (v3 << 2) | (v2 << 3) | (v1 << 4) | (b << 5)
-    pre = np.full((4, _N_STATES, 4), _DUMMY, dtype=np.int64)
-    for c in range(4):
-        fill = [0] * _N_STATES
-        for s in range(_N_STATES):
-            t = succ[c, s]
-            if t != _DUMMY:
-                pre[c, t, fill[t]] = s
-                fill[t] += 1
-    return _Machine(succ, pre, cost)
+_CHAINS: dict[DominationKind, _Chain] = {}
 
 
-_MACHINES: dict[DominationKind, _Machine] = {}
-
-
-def _machine(kind: DominationKind) -> _Machine:
-    if kind not in _MACHINES:
-        _MACHINES[kind] = _build_machine(kind)
-    return _MACHINES[kind]
-
-
-def _identity() -> np.ndarray:
-    table = np.full((_N_STATES, _N_STATES), _INF, dtype=np.float32)
-    np.fill_diagonal(table, 0.0)
-    return table
-
-
-def _pad_rows(table: np.ndarray) -> np.ndarray:
-    """Append an all-infinite row so _DUMMY indexes cost infinity."""
-    out = np.full((_N_STATES + 1, table.shape[1]), _INF, dtype=np.float32)
-    out[:_N_STATES] = table
-    return out
-
-
-def _pad_cols(table: np.ndarray) -> np.ndarray:
-    out = np.full((table.shape[0], _N_STATES + 1), _INF, dtype=np.float32)
-    out[:, :_N_STATES] = table
-    return out
+def _chain(kind: DominationKind) -> _Chain:
+    if kind not in _CHAINS:
+        _CHAINS[kind] = _Chain(kind)
+    return _CHAINS[kind]
 
 
 def _column_step(
-    table: np.ndarray, choices: tuple[int, ...], m: _Machine
+    table: np.ndarray, choices: np.ndarray, m: _Chain, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """One backward column: T'[s, i] = min over c in choices of
-    T[succ[c, s], i] + cost(c)."""
-    padded = _pad_rows(table)
-    best: np.ndarray | None = None
-    for c in choices:
-        cand = padded[m.succ[c]] + m.cost[c]
-        best = cand if best is None else np.minimum(best, cand)
-    return best
+    """One backward column on a padded table: T'[s, i] = min over c in
+    choices of T[succ[c, s], i] + cost(c); row _DUMMY stays infinite."""
+    if out is None:
+        out = np.empty_like(table)
+        out[_DUMMY] = _INF
+    np.minimum.reduce(table[m.succ[choices]] + m.cost[choices], axis=0, out=out[:_DUMMY])
+    return out
 
 
-def _backward_family(
-    n: int, m: _Machine, allowed_u: list[int] | None
-) -> list[np.ndarray]:
-    """B[j][s, i] = min cost of columns j..n-1 from interface s ending at
-    interface i.  When allowed_u is given, the u-choice of column j is
-    forced to allowed_u[j]."""
-    family: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    family[n] = _identity()
-    for j in range(n - 1, -1, -1):
-        if allowed_u is None:
-            choices = _ALL_CHOICES
-        else:
-            choices = (allowed_u[j], allowed_u[j] | 2)
-        family[j] = _column_step(family[j + 1], choices, m)
-    return family
-
-
-def _closed_minimum(table: np.ndarray, n: int, kind: DominationKind) -> int:
+def _closed_minimum(table: np.ndarray, offset: int, n: int, kind: DominationKind) -> int:
     """Smallest closed-tour cost (diagonal entry) of an n-column table."""
-    minimum = float(np.diagonal(table).min())
+    minimum = float(np.diagonal(table).min()) + offset
     if not np.isfinite(minimum):
         raise InfeasibleError(f"no valid {kind.value} set exists in P({n},2)")
     return int(minimum)
 
 
-def _forward_step(
-    table: np.ndarray, choices: tuple[int, ...], m: _Machine
-) -> np.ndarray:
-    """One forward column: F'[i, t] = min over allowed c and preimages s
-    of F[i, s] + cost(c)."""
-    padded = _pad_cols(table)
-    best: np.ndarray | None = None
-    for c in choices:
-        cand = padded[:, m.pre[c]].min(axis=2) + m.cost[c]
-        best = cand if best is None else np.minimum(best, cand)
-    return best
+def _greedy_bits(
+    m: _Chain,
+    minimum: int,
+    rows: np.ndarray,
+    cols: np.ndarray,
+    suffix: Callable[[int], tuple[np.ndarray, int]],
+    options: np.ndarray,
+) -> tuple[list[int], np.ndarray]:
+    """Fix one membership bit per column, left to right: set it exactly
+    when some closed tour of cost minimum extends the commitments so far.
 
-
-def _combine(
-    forward: np.ndarray,
-    backward_next: np.ndarray,
-    choices: tuple[int, ...],
-    m: _Machine,
-) -> float:
-    """Min total cost over interfaces of prefix + one column + suffix."""
-    padded = _pad_rows(backward_next)
-    best = np.float32(np.inf)
-    for c in choices:
-        suffix = padded[m.succ[c]]
-        total = forward + suffix.T
-        cand = total.min() + m.cost[c]
-        if cand < best:
-            best = cand
-    return float(best)
+    rows are the live start interfaces and cols their columns in
+    suffix(j), the (table, offset) of columns j..n-1; options[j] holds
+    the choices of column j with the bit set and with it unset.  Returns
+    the bits and the start interfaces still live after the last column.
+    """
+    forward = np.full((len(rows), _N_STATES + 1), _INF, dtype=np.float32)
+    forward[np.arange(len(rows)), rows] = 0.0  # F[r, t]: prefix cost from rows[r]
+    bits: list[int] = []
+    for j, (yes, no) in enumerate(options):
+        table, offset = suffix(j + 1)
+        table = table[:, cols] + offset
+        totals = np.minimum.reduce(forward + _column_step(table, yes, m).T, axis=1)
+        bit = int(np.minimum.reduce(totals) == minimum)
+        if len(rows) > 1:
+            if not bit:
+                totals = np.minimum.reduce(forward + _column_step(table, no, m).T, axis=1)
+            live = totals <= minimum
+            forward, rows, cols = forward[live], rows[live], cols[live]
+        chosen = yes if bit else no
+        gathered = forward[:, m.pre[chosen]] + m.cost[chosen]
+        forward = np.empty_like(forward)
+        forward[:, _DUMMY] = _INF
+        np.minimum.reduce(gathered, axis=(1, 3), out=forward[:, :_DUMMY])
+        bits.append(bit)
+    return bits, rows
 
 
 def dp_min(n: int, kind: DominationKind) -> SolveResult:
@@ -228,29 +235,25 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     if n < 5:
         raise ParameterError(f"dp_min requires n >= 5, got n={n}")
     _check_exact(n)
-    m = _machine(kind)
-
-    backward = _backward_family(n, m, None)
-    minimum = _closed_minimum(backward[0], n, kind)
+    m = _chain(kind)
+    table, offset = m.power(n)
+    minimum = _closed_minimum(table, offset, n, kind)
+    rows = np.flatnonzero(np.diagonal(table) + offset == minimum)
 
     # phase 1: fix outer memberships greedily, inner choices left free
-    u_bits: list[int] = []
-    forward = _identity()
-    for j in range(n):
-        val = _combine(forward, backward[j + 1], (1, 3), m)
-        bit = 1 if val == minimum else 0
-        u_bits.append(bit)
-        forward = _forward_step(forward, (1, 3) if bit else (0, 2), m)
+    outer = np.broadcast_to([[1, 3], [0, 2]], (n, 2, 2))
+    u_bits, rows = _greedy_bits(m, minimum, rows, rows, lambda j: m.power(n - j), outer)
 
     # phase 2: outer memberships frozen, fix inner memberships greedily
-    backward = _backward_family(n, m, u_bits)
-    v_bits: list[int] = []
-    forward = _identity()
-    for j in range(n):
-        val = _combine(forward, backward[j + 1], (u_bits[j] | 2,), m)
-        bit = 1 if val == minimum else 0
-        v_bits.append(bit)
-        forward = _forward_step(forward, (u_bits[j] | (bit << 1),), m)
+    u = np.array(u_bits)
+    inner = np.stack([u | 2, u], axis=1)[:, :, None]
+    family = np.empty((n + 1, _N_STATES + 1, len(rows)), dtype=np.float32)
+    family[:] = _INF
+    family[n, rows, np.arange(len(rows))] = 0.0
+    for j in range(n - 1, -1, -1):
+        _column_step(family[j + 1], inner[j, :, 0], m, out=family[j])
+    cols = np.arange(len(rows))
+    v_bits, _ = _greedy_bits(m, minimum, rows, cols, lambda j: (family[j], 0), inner)
 
     witness = VertexSet.from_arrays(u_bits, v_bits)
     if len(witness) != minimum:
@@ -264,18 +267,12 @@ def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:
     """Exact minimum of the given kind for every n in lo..hi, in order.
 
     Equal to ``[dp_min(n, kind).minimum for n in range(lo, hi + 1)]``,
-    from one chain of hi column steps (see the range sweep above).
+    read off the kind's cached chain of free suffix tables (see above).
     """
     if lo < 5:
         raise ParameterError(f"dp_minima requires lo >= 5, got lo={lo}")
     if lo > hi:
         raise ParameterError(f"dp_minima requires lo <= hi, got lo={lo}, hi={hi}")
     _check_exact(hi)
-    m = _machine(kind)
-    table = _identity()
-    minima: list[int] = []
-    for n in range(1, hi + 1):
-        table = _column_step(table, _ALL_CHOICES, m)
-        if n >= lo:
-            minima.append(_closed_minimum(table, n, kind))
-    return minima
+    m = _chain(kind)
+    return [_closed_minimum(*m.power(n), n, kind) for n in range(lo, hi + 1)]
