@@ -49,12 +49,13 @@ one-column matrix M (the four choices merged), whatever n is.  These
 powers are eventually periodic: once M^L minus its smallest entry equals
 an earlier M^N minus its own, byte for byte, M^(N+p+L') = M^(N+L') + lam
 for every L' >= 0, where p = L - N and lam is the difference of the two
-smallest entries.  So one cached chain per kind holds only M^0..M^(N+p-1)
-and gives M^L for any L as M^(N + (L-N) % p) + lam * ((L-N) // p).  The
-minimum for n is the smallest diagonal entry of M^n; ``dp_minima`` reads
-it off the chain for every n in a range, and phase 1 reads its suffix
-tables from it.  Only phase 2, whose suffixes depend on the fixed outer
-bits, builds a backward family of its own.
+smallest entries.  So one chain per kind, built once on first use, holds
+only M^0..M^(N+p-1), at most 24 tables, and gives M^L for any L as
+M^(N + (L-N) % p) + lam * ((L-N) // p).  The minimum for n is the
+smallest diagonal entry of M^n; ``dp_minima`` reads it off the chain for
+every n in a range, and phase 1 reads its suffix tables from it.  Only
+phase 2, whose suffixes depend on the fixed outer bits, builds a backward
+family of its own.
 
 Live start interfaces.  Each row of the forward table is one start
 interface of the closed tour.  A row whose best closed total under the
@@ -73,7 +74,6 @@ before allocating anything.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable
 
 import numpy as np
@@ -86,7 +86,6 @@ from .solver import SolveMethod, SolveResult
 __all__ = ["dp_min", "dp_minima"]
 
 _N_STATES = 64
-_DUMMY = _N_STATES  # index of the infinite-cost padding row/column
 _INF = np.float32(np.inf)
 _ALL_CHOICES = np.arange(4)
 _MAX_N = 2**23  # costs stay <= 2 * _MAX_N = 2^24, where float32 is still exact
@@ -102,58 +101,49 @@ def _check_exact(n: int) -> None:
 class _Chain:
     """Transition tables of one kind and its free suffix tables M^L.
 
-    succ[c, s]: successor state of s under choice c, or _DUMMY when the
-    transition is infeasible.  pre[c, t] lists the up-to-four states s
-    with succ[c, s] == t (padded with _DUMMY).  cost[c, 0, 0] = popcount(c).
-    tables holds M^0, M^1, ... padded to 65x64, extended on demand until
-    the periodicity described above closes with cycle = (N, p, lam).
+    succ[c, s] is the successor interface of s under choice c and
+    cost[c, s, 0] its cost a + b, or INF where the kind refuses it;
+    pre[c, t] lists the four states s with succ[c, s] == t, or none, and
+    pre_cost[c, t] their costs (INF where none is feasible).  Built whole:
+    tables holds M^0..M^(N+p-1), stepped from the identity until a power
+    less its minimum repeats, and cycle = (N, p, lam) as described above.
     """
 
     def __init__(self, kind: DominationKind) -> None:
-        self.succ = np.full((4, _N_STATES), _DUMMY, dtype=np.int64)
-        self.cost = np.zeros((4, 1, 1), dtype=np.float32)
+        self.succ = np.empty((4, _N_STATES), dtype=np.int64)
+        self.cost = np.empty((4, _N_STATES, 1), dtype=np.float32)
+        self.pre = np.zeros((4, _N_STATES, 4), dtype=np.int64)
+        self.pre_cost = np.full((4, _N_STATES, 4), _INF, dtype=np.float32)
         for c in range(4):
             a, b = c & 1, (c >> 1) & 1
-            self.cost[c] = a + b
             for s in range(_N_STATES):
                 u2, u1 = s & 1, (s >> 1) & 1
                 v4, v3, v2, v1 = (s >> 2) & 1, (s >> 3) & 1, (s >> 4) & 1, (s >> 5) & 1
-                if kind.accepts(u2 + a + v1, u1) and kind.accepts(v4 + b + u2, v2):
-                    t = u1 | (a << 1) | (v3 << 2) | (v2 << 3) | (v1 << 4) | (b << 5)
-                    self.succ[c, s] = t
-        self.pre = np.full((4, _N_STATES, 4), _DUMMY, dtype=np.int64)
-        for c in range(4):
-            fill = [0] * _N_STATES
-            for s in range(_N_STATES):
-                t = self.succ[c, s]
-                if t != _DUMMY:
-                    self.pre[c, t, fill[t]] = s
-                    fill[t] += 1
-        identity = np.full((_N_STATES + 1, _N_STATES), _INF, dtype=np.float32)
+                t = u1 | (a << 1) | (v3 << 2) | (v2 << 3) | (v1 << 4) | (b << 5)
+                ok = kind.accepts(u2 + a + v1, u1) and kind.accepts(v4 + b + u2, v2)
+                cost = a + b if ok else _INF
+                i = u2 | (v4 << 1)  # t drops u2 and v4: they number its predecessors
+                self.succ[c, s], self.cost[c, s] = t, cost
+                self.pre[c, t, i], self.pre_cost[c, t, i] = s, cost
+        identity = np.full((_N_STATES, _N_STATES), _INF, dtype=np.float32)
         np.fill_diagonal(identity, 0.0)
         self.tables = [identity]
-        self.cycle: tuple[int, int, int] | None = None
-        self._seen = {identity.tobytes(): 0}  # table minus its minimum -> L
-        self._lock = threading.Lock()  # concurrent callers extend the chain once
+        seen = {identity.tobytes(): 0}  # table minus its minimum -> L
+        while True:
+            table = _column_step(self.tables[-1], _ALL_CHOICES, self)
+            low = table.min()
+            start = seen.setdefault((table - low).tobytes(), len(self.tables))
+            if start < len(self.tables):
+                break
+            self.tables.append(table)
+        lam = int(low - self.tables[start].min())
+        self.cycle = (start, len(self.tables) - start, lam)
 
     def power(self, length: int) -> tuple[np.ndarray, int]:
         """(table, offset) with M^length = table + offset."""
-        with self._lock:
-            while self.cycle is None and len(self.tables) <= length:
-                table = _column_step(self.tables[-1], _ALL_CHOICES, self)
-                low = table.min()
-                key = (table - low).tobytes()
-                if key in self._seen:
-                    start = self._seen[key]
-                    lam = int(low - self.tables[start].min())
-                    self.cycle = (start, len(self.tables) - start, lam)
-                    self._seen.clear()
-                else:
-                    self._seen[key] = len(self.tables)
-                    self.tables.append(table)
-        if length < len(self.tables):
-            return self.tables[length], 0
         start, period, lam = self.cycle
+        if length < start:
+            return self.tables[length], 0
         periods, rest = divmod(length - start, period)
         return self.tables[start + rest], lam * periods
 
@@ -170,13 +160,9 @@ def _chain(kind: DominationKind) -> _Chain:
 def _column_step(
     table: np.ndarray, choices: np.ndarray, m: _Chain, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """One backward column on a padded table: T'[s, i] = min over c in
-    choices of T[succ[c, s], i] + cost(c); row _DUMMY stays infinite."""
-    if out is None:
-        out = np.empty_like(table)
-        out[_DUMMY] = _INF
-    np.minimum.reduce(table[m.succ[choices]] + m.cost[choices], axis=0, out=out[:_DUMMY])
-    return out
+    """One backward column: T'[s, i] = min over c in choices of
+    T[succ[c, s], i] + cost[c, s]."""
+    return np.minimum.reduce(table[m.succ[choices]] + m.cost[choices], axis=0, out=out)
 
 
 def _closed_minimum(table: np.ndarray, offset: int, n: int, kind: DominationKind) -> int:
@@ -203,7 +189,7 @@ def _greedy_bits(
     the choices of column j with the bit set and with it unset.  Returns
     the bits and the start interfaces still live after the last column.
     """
-    forward = np.full((len(rows), _N_STATES + 1), _INF, dtype=np.float32)
+    forward = np.full((len(rows), _N_STATES), _INF, dtype=np.float32)
     forward[np.arange(len(rows)), rows] = 0.0  # F[r, t]: prefix cost from rows[r]
     bits: list[int] = []
     for j, (yes, no) in enumerate(options):
@@ -217,10 +203,8 @@ def _greedy_bits(
             live = totals <= minimum
             forward, rows, cols = forward[live], rows[live], cols[live]
         chosen = yes if bit else no
-        gathered = forward[:, m.pre[chosen]] + m.cost[chosen]
-        forward = np.empty_like(forward)
-        forward[:, _DUMMY] = _INF
-        np.minimum.reduce(gathered, axis=(1, 3), out=forward[:, :_DUMMY])
+        gathered = forward[:, m.pre[chosen]] + m.pre_cost[chosen]
+        forward = np.minimum.reduce(gathered, axis=(1, 3))
         bits.append(bit)
     return bits, rows
 
@@ -247,8 +231,7 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     # phase 2: outer memberships frozen, fix inner memberships greedily
     u = np.array(u_bits)
     inner = np.stack([u | 2, u], axis=1)[:, :, None]
-    family = np.empty((n + 1, _N_STATES + 1, len(rows)), dtype=np.float32)
-    family[:] = _INF
+    family = np.full((n + 1, _N_STATES, len(rows)), _INF, dtype=np.float32)
     family[n, rows, np.arange(len(rows))] = 0.0
     for j in range(n - 1, -1, -1):
         _column_step(family[j + 1], inner[j, :, 0], m, out=family[j])

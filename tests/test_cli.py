@@ -140,6 +140,23 @@ class TestTable:
         assert code == 2
 
 
+class TestRangeBounds:
+    # verify and table take their range bounds from dp_minima's checks
+    @pytest.mark.parametrize(
+        "argv,bound",
+        [
+            (["verify", "--kind", "one-two", "--from", "4", "--to", "10"], "lo >= 5"),
+            (["table", "--from", "9", "--to", "7"], "lo <= hi"),
+        ],
+        ids=["verify-lo", "table-empty"],
+    )
+    def test_usage_error_names_bound(self, capsys, argv, bound):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert bound in err
+
+
 class TestCensus:
     def test_s9(self, capsys):
         code, out, _ = run(capsys, "census", "--n", "9",

@@ -164,10 +164,11 @@ class TestPeriodicChain:
         ],
     )
     def test_cycle(self, kind, cycle):
+        # the whole chain exists on construction, before any power is read
         chain = transfer._Chain(kind)
-        chain.power(100)
         assert chain.cycle == cycle
         assert len(chain.tables) == cycle[0] + cycle[1]
+        assert all(table.shape == (64, 64) for table in chain.tables)
 
     @pytest.mark.parametrize("kind", list(K))
     def test_powers_equal_repeated_steps(self, kind):
@@ -178,24 +179,50 @@ class TestPeriodicChain:
             np.testing.assert_array_equal(periodic + offset, table)
             table = transfer._column_step(table, transfer._ALL_CHOICES, chain)
 
-    def test_extended_only_as_far_as_needed(self):
-        chain = transfer._Chain(K.PLAIN)
-        chain.power(7)
-        assert len(chain.tables) == 8
-        assert chain.cycle is None
+    @pytest.mark.parametrize("kind", list(K))
+    def test_one_column_matrix(self, kind):
+        # M^1 enumerated from the module docstring: interface bits
+        # (u_{j-2}, u_{j-1}, v_{j-4}, v_{j-3}, v_{j-2}, v_{j-1}), choice (a, b)
+        expected = np.full((64, 64), np.inf, dtype=np.float32)
+        for s in range(64):
+            bit = [(s >> i) & 1 for i in range(6)]
+            for a in (0, 1):
+                for b in (0, 1):
+                    if not kind.accepts(bit[0] + a + bit[5], bit[1]):
+                        continue  # u_{j-1}
+                    if not kind.accepts(bit[2] + b + bit[0], bit[4]):
+                        continue  # v_{j-2}
+                    out = [bit[1], a, bit[3], bit[4], bit[5], b]
+                    t = sum(x << i for i, x in enumerate(out))
+                    expected[s, t] = min(expected[s, t], a + b)
+        table, offset = transfer._Chain(kind).power(1)
+        np.testing.assert_array_equal(table + offset, expected)
 
-    def test_concurrent_callers_extend_once(self):
-        reference = transfer._Chain(K.ONE_TWO)
-        expected = [reference.power(length) for length in range(40)]
+    @pytest.mark.parametrize("kind", list(K))
+    def test_forward_gather_matches_column_step(self, kind):
+        # one column read forward (predecessors) or backward (successors)
+        # is the same matrix
+        chain = transfer._Chain(kind)
+        identity = chain.tables[0]
+        for c in range(4):
+            forward = np.minimum.reduce(
+                identity[:, chain.pre[c]] + chain.pre_cost[c], axis=2
+            )
+            backward = transfer._column_step(identity, np.array([c]), chain)
+            np.testing.assert_array_equal(forward, backward)
+
+    def test_concurrent_callers_match_serial(self, monkeypatch):
+        cases = [(kind, n) for kind in K for n in (5, 13)]
+        expected = [dp_min(n, kind) for kind, n in cases]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(10):
-                chain = transfer._Chain(K.ONE_TWO)
+            for _ in range(3):
+                monkeypatch.setattr(transfer, "_CHAINS", {})
                 results: dict[int, list] = {}
 
                 def worker(w):
-                    results[w] = [chain.power(length) for length in range(w % 3, 40)]
+                    results[w] = [dp_min(n, kind) for kind, n in cases[w % 3:]]
 
                 threads = [threading.Thread(target=worker, args=(w,)) for w in range(8)]
                 for t in threads:
@@ -204,10 +231,10 @@ class TestPeriodicChain:
                     t.join(timeout=60)
                 assert not any(t.is_alive() for t in threads)
                 assert len(results) == 8
-                assert chain.cycle == reference.cycle
                 for w, got in results.items():
-                    for (table, offset), (want, base) in zip(got, expected[w % 3:]):
-                        np.testing.assert_array_equal(table + offset, want + base)
+                    for result, want in zip(got, expected[w % 3:], strict=True):
+                        assert result.minimum == want.minimum
+                        assert result.witness == want.witness
         finally:
             sys.setswitchinterval(interval)
 
