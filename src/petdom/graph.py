@@ -7,7 +7,7 @@ is just the pair (n, k) and neighbor queries cost O(1) regardless of n.
 
 Every layer shares one vertex-set representation, two bitmasks (see
 ``VertexSet``); ``Vertex`` objects are built only at the edges: parsing
-names, neighbor queries and the derived views of a set.
+a single name, neighbor queries and the derived views of a set.
 
 Two proof-oriented partitions of P(n,2) are exposed as queryable objects:
 
@@ -79,13 +79,18 @@ class Vertex:
         return f"Vertex({self.name})"
 
 
-def parse_vertex(name: str, n: int) -> Vertex:
-    """Parse "u<i>" / "v<i>" into a Vertex, reducing the index mod n."""
+def _parse(name: str, n: int) -> tuple[str, int]:
+    """The ring letter and the index mod n of a name "u<i>" / "v<i>"."""
     m = _VERTEX_RE.match(name.strip())
     if m is None:
         raise ParameterError(f"vertex name must match u<i> or v<i>, got {name!r}")
-    ring = Ring.OUTER if m.group(1) == "u" else Ring.INNER
-    return Vertex(ring, int(m.group(2)) % n)
+    return m.group(1), int(m.group(2)) % n
+
+
+def parse_vertex(name: str, n: int) -> Vertex:
+    """Parse "u<i>" / "v<i>" into a Vertex, reducing the index mod n."""
+    letter, index = _parse(name, n)
+    return Vertex(Ring(letter), index)
 
 
 def _unpack(mask: int, n: int) -> np.ndarray:
@@ -98,6 +103,13 @@ def _pack(bits: np.ndarray) -> int:
     """The int whose bit i is set exactly when bits[i] is nonzero."""
     packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
+
+
+def _mask(indices: list[int]) -> int:
+    """The int whose bit i is set exactly when i is in indices (all >= 0)."""
+    bits = np.zeros(max(indices, default=-1) + 1, dtype=bool)
+    bits[indices] = True
+    return _pack(bits)
 
 
 def _indices(mask: int) -> list[int]:
@@ -122,21 +134,23 @@ class VertexSet:
 
     @classmethod
     def of(cls, vertices: Iterable[Vertex]) -> "VertexSet":
-        outer = inner = 0
+        # indices are gathered per ring and each ring's mask packed once
+        indices: dict[Ring, list[int]] = {Ring.OUTER: [], Ring.INNER: []}
         for v in vertices:
             if v.index < 0:
                 raise ParameterError(f"vertex {v.name} has a negative index")
-            if v.ring is Ring.OUTER:
-                outer |= 1 << v.index
-            else:
-                inner |= 1 << v.index
-        return cls(outer, inner)
+            indices[v.ring].append(v.index)
+        return cls(_mask(indices[Ring.OUTER]), _mask(indices[Ring.INNER]))
 
     @classmethod
     def from_names(cls, names: Iterable[str] | str, n: int) -> "VertexSet":
         if isinstance(names, str):
             names = [s for s in names.split(",") if s.strip()]
-        return cls.of(parse_vertex(s, n) for s in names)
+        indices: dict[str, list[int]] = {"u": [], "v": []}
+        for name in names:
+            letter, index = _parse(name, n)
+            indices[letter].append(index)
+        return cls(_mask(indices["u"]), _mask(indices["v"]))
 
     @classmethod
     def from_arrays(cls, outer: np.ndarray, inner: np.ndarray) -> "VertexSet":

@@ -53,9 +53,9 @@ smallest entries.  So one chain per kind, built once on first use, holds
 only M^0..M^(N+p-1), at most 24 tables, and gives M^L for any L as
 M^(N + (L-N) % p) + lam * ((L-N) // p).  The minimum for n is the
 smallest diagonal entry of M^n; ``dp_minima`` reads it off the chain for
-every n in a range, and phase 1 reads its suffix tables from it.  Only
-phase 2, whose suffixes depend on the fixed outer bits, builds a backward
-family of its own.
+every n in a range, and phase 1 reads its suffix tables from it.  Phase
+2's suffixes depend on the fixed outer bits, so it steps a backward
+family of its own, which is periodic too (below).
 
 Live start interfaces.  Each row of the forward table is one start
 interface of the closed tour.  A row whose best closed total under the
@@ -65,16 +65,41 @@ minimum, and the test "some row attains the minimum" reads the same
 without it.  In practice one to three rows are left after a few
 columns, so phase 2's backward family has one column per live row, not 64.
 
-Exactness bound.  Costs are float32, whose integers are exact only up
-to 2^24.  A column costs at most 2, so every table entry of an n-column
-chain is an integer at most 2n, and n <= 2^23 keeps all of them exact.
-``dp_min`` and ``dp_minima`` refuse larger n with ``SizeLimitError``
-before allocating anything.
+Periodic witness reconstruction.  A greedy walk is a deterministic
+process whose state entering column j is the live rows and the forward
+table less its minimum (the minimum is carried as an int, base).  Its
+step at column j reads only that state, the column's options and the
+suffix table of columns j+1..n-1, and it is unchanged when the suffix
+table moves by a constant: by the greedy invariant the best total equals
+the minimum, so the target minimum - base - offset moves with it.  Where
+options and suffix tables repeat with period P, a state that repeats
+(same rows and forward table at the same phase mod P, found with a dict)
+therefore repeats every q columns from there on: the walk tiles that
+stretch's bits, adds its cost to base per period, and jumps ahead,
+stepping again only near the end.  In phase 1 the suffix tables are the
+chain's, periodic while at least N columns remain, and the state repeats
+within about 20 columns.  The outer bits it returns are a prefix, a
+periodic stretch and a tail, so phase 2's backward family, stepped from
+the tail, repeats up to a constant inside the periodic stretch; only the
+tables from the tail to that repeat are stored, the rest are one of them
+plus a shift, and the tables before the stretch are stepped from it.
+Phase 2's walk then skips periods the same way.  Each phase runs a
+number of column steps independent of n; only the bit arrays, the
+witness and its validation are O(n).
+
+Exactness bound.  Table entries are float32, whose integers are exact
+only up to 2^24, and offsets and bases are Python ints.  The chain's
+tables and the walks' forward and stored suffix tables only hold costs
+of a bounded number of columns (all n of them only when n is too short
+to show a period), so every entry stays small; the minimum
+is int(smallest diagonal entry) + offset.  ``dp_min`` and ``dp_minima``
+still refuse n > 2^23 with ``SizeLimitError`` before allocating
+anything.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Hashable, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -88,7 +113,13 @@ __all__ = ["dp_min", "dp_minima"]
 _N_STATES = 64
 _INF = np.float32(np.inf)
 _ALL_CHOICES = np.arange(4)
+_OUTER = np.array([[1, 3], [0, 2]])  # choices with u_j in S, and without
+_INNER = np.array([[[2], [0]], [[3], [1]]])  # [u_j]: with v_j in S, and without
 _MAX_N = 2**23  # costs stay <= 2 * _MAX_N = 2^24, where float32 is still exact
+_NO_PERIOD = (0, 0, 1)  # a (lo, hi, P) period that holds for no column
+
+_State = TypeVar("_State")
+_Suffix = Callable[[int], tuple[np.ndarray, int]]
 
 
 def _check_exact(n: int) -> None:
@@ -96,6 +127,31 @@ def _check_exact(n: int) -> None:
         raise SizeLimitError(
             f"float32 costs are exact only for n <= 2^23 = {_MAX_N}, got n={n}"
         )
+
+
+def _until_repeat(
+    first: _State,
+    step: Callable[[_State, int], _State | None],
+    key: Callable[[_State, int], Hashable],
+) -> tuple[list[_State], int | None]:
+    """Walk x_0 = first, x_(i+1) = step(x_i, i) until key(x_i, i) equals
+    key(x_s, s) for some s < i, or step returns None.
+
+    Returns x_0..x_i and s, or None for s if step ended the walk.
+    """
+    walk, seen = [first], {key(first, 0): 0}
+    while (state := step(walk[-1], len(walk) - 1)) is not None:
+        walk.append(state)
+        start = seen.setdefault(key(state, len(walk) - 1), len(walk) - 1)
+        if start < len(walk) - 1:
+            return walk, start
+    return walk, None
+
+
+def _less_min(table: np.ndarray) -> bytes:
+    """The bytes of a table less its minimum, equal for tables equal up to
+    a constant."""
+    return (table - table.min()).tobytes()
 
 
 class _Chain:
@@ -127,16 +183,13 @@ class _Chain:
                 self.pre[c, t, i], self.pre_cost[c, t, i] = s, cost
         identity = np.full((_N_STATES, _N_STATES), _INF, dtype=np.float32)
         np.fill_diagonal(identity, 0.0)
-        self.tables = [identity]
-        seen = {identity.tobytes(): 0}  # table minus its minimum -> L
-        while True:
-            table = _column_step(self.tables[-1], _ALL_CHOICES, self)
-            low = table.min()
-            start = seen.setdefault((table - low).tobytes(), len(self.tables))
-            if start < len(self.tables):
-                break
-            self.tables.append(table)
-        lam = int(low - self.tables[start].min())
+        tables, start = _until_repeat(
+            identity,
+            lambda table, _: _column_step(table, _ALL_CHOICES, self),
+            lambda table, _: _less_min(table),
+        )
+        self.tables = tables[:-1]
+        lam = int(tables[-1].min() - tables[start].min())
         self.cycle = (start, len(self.tables) - start, lam)
 
     def power(self, length: int) -> tuple[np.ndarray, int]:
@@ -157,20 +210,31 @@ def _chain(kind: DominationKind) -> _Chain:
     return _CHAINS[kind]
 
 
-def _column_step(
-    table: np.ndarray, choices: np.ndarray, m: _Chain, out: np.ndarray | None = None
-) -> np.ndarray:
+def _column_step(table: np.ndarray, choices: np.ndarray, m: _Chain) -> np.ndarray:
     """One backward column: T'[s, i] = min over c in choices of
     T[succ[c, s], i] + cost[c, s]."""
-    return np.minimum.reduce(table[m.succ[choices]] + m.cost[choices], axis=0, out=out)
+    return np.minimum.reduce(table[m.succ[choices]] + m.cost[choices], axis=0)
 
 
 def _closed_minimum(table: np.ndarray, offset: int, n: int, kind: DominationKind) -> int:
     """Smallest closed-tour cost (diagonal entry) of an n-column table."""
-    minimum = float(np.diagonal(table).min()) + offset
-    if not np.isfinite(minimum):
+    low = np.diagonal(table).min()
+    if not np.isfinite(low):
         raise InfeasibleError(f"no valid {kind.value} set exists in P({n},2)")
-    return int(minimum)
+    return int(low) + offset
+
+
+class _Walk(NamedTuple):
+    """A greedy walk entering a column: forward[r, t] + base is the
+    cheapest committed prefix from start interface rows[r] to interface
+    t, with forward's minimum 0; cols[r] is rows[r]'s column in the suffix
+    tables, and bit the bit fixed at the column before."""
+
+    forward: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    base: int
+    bit: int = 0
 
 
 def _greedy_bits(
@@ -178,35 +242,114 @@ def _greedy_bits(
     minimum: int,
     rows: np.ndarray,
     cols: np.ndarray,
-    suffix: Callable[[int], tuple[np.ndarray, int]],
-    options: np.ndarray,
-) -> tuple[list[int], np.ndarray]:
+    suffix: _Suffix,
+    options: Callable[[int], np.ndarray],
+    n: int,
+    period: tuple[int, int, int],
+) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Fix one membership bit per column, left to right: set it exactly
     when some closed tour of cost minimum extends the commitments so far.
 
     rows are the live start interfaces and cols their columns in
-    suffix(j), the (table, offset) of columns j..n-1; options[j] holds
-    the choices of column j with the bit set and with it unset.  Returns
-    the bits and the start interfaces still live after the last column.
+    suffix(j), the (table, offset) of columns j..n-1; options(j) holds
+    the choices of column j with the bit set and with it unset.  period
+    (lo, hi, P) says that columns x and x + P have the same options and
+    suffix tables equal up to a constant whenever lo <= x and x + P < hi;
+    there a repeated walk state is skipped ahead by whole periods.
+    Returns the bits, the start interfaces still live after the last
+    column and (a, b, q): bit x equals bit x + q whenever a <= x and
+    x + q < b.
     """
-    forward = np.full((len(rows), _N_STATES), _INF, dtype=np.float32)
-    forward[np.arange(len(rows)), rows] = 0.0  # F[r, t]: prefix cost from rows[r]
-    bits: list[int] = []
-    for j, (yes, no) in enumerate(options):
+
+    def step(walk: _Walk, j: int) -> _Walk:
+        forward, rows, cols = walk.forward, walk.rows, walk.cols
+        yes, no = options(j)
         table, offset = suffix(j + 1)
-        table = table[:, cols] + offset
+        table = table[:, cols]
+        goal = minimum - walk.base - offset
         totals = np.minimum.reduce(forward + _column_step(table, yes, m).T, axis=1)
-        bit = int(np.minimum.reduce(totals) == minimum)
+        bit = int(np.minimum.reduce(totals) == goal)
         if len(rows) > 1:
             if not bit:
                 totals = np.minimum.reduce(forward + _column_step(table, no, m).T, axis=1)
-            live = totals <= minimum
+            live = totals <= goal
             forward, rows, cols = forward[live], rows[live], cols[live]
         chosen = yes if bit else no
         gathered = forward[:, m.pre[chosen]] + m.pre_cost[chosen]
         forward = np.minimum.reduce(gathered, axis=(1, 3))
-        bits.append(bit)
-    return bits, rows
+        low = forward.min()
+        return _Walk(forward - low, rows, cols, walk.base + int(low), bit)
+
+    bits = np.empty(n, dtype=np.uint8)
+
+    def run(walk: _Walk, start: int, stop: int) -> _Walk:
+        for j in range(start, stop):
+            walk = step(walk, j)
+            bits[j] = walk.bit
+        return walk
+
+    lo, hi, P = period
+    forward = np.full((len(rows), _N_STATES), _INF, dtype=np.float32)
+    forward[np.arange(len(rows)), rows] = 0.0  # F[r, t]: prefix cost from rows[r]
+    walks, start = _until_repeat(
+        run(_Walk(forward, rows, cols, 0), 0, lo),
+        lambda walk, i: step(walk, lo + i) if lo + i + P < hi else None,
+        lambda walk, i: (i % P, walk.rows.tobytes(), walk.forward.tobytes()),
+    )
+    j = lo + len(walks) - 1
+    bits[lo:j] = [walk.bit for walk in walks[1:]]
+    walk, skip = walks[-1], _NO_PERIOD
+    if start is not None:
+        q = len(walks) - 1 - start
+        periods = (hi - j) // q
+        bits[j:j + periods * q] = np.tile(bits[j - q:j], periods)
+        walk = walk._replace(base=walk.base + periods * (walk.base - walks[start].base))
+        skip = (j - q, j + periods * q, q)
+        j += periods * q
+    return bits, run(walk, j, n).rows, skip
+
+
+def _family(
+    m: _Chain, u: np.ndarray, rows: np.ndarray, period: tuple[int, int, int]
+) -> tuple[_Suffix, tuple[int, int, int]]:
+    """Phase 2's suffix tables: family(j) = (table, offset) of columns
+    j..n-1 with the outer bits u fixed, one column per live start row,
+    and the period of family(j + 1) as ``_greedy_bits`` takes it.
+
+    u repeats with period q on a..b-1, period = (a, b, q).  Stepped back
+    from column n until, inside that stretch, a table less its minimum
+    repeats the one P columns later at the same phase mod q; below that
+    column r, family(j) = family(j + s*P) + s*d down to a, and the tables
+    before a are stepped from family(a).
+    """
+    n = len(u)
+    a, b, q = period
+    last = np.full((_N_STATES, len(rows)), _INF, dtype=np.float32)
+    last[rows, np.arange(len(rows))] = 0.0
+
+    def step(table: np.ndarray, i: int) -> np.ndarray | None:
+        j = n - 1 - i  # tables[i] is family(n - i), and this is family(j)
+        return _column_step(table, _INNER[u[j]][:, 0], m) if j >= 0 else None
+
+    def key(table: np.ndarray, i: int) -> Hashable:
+        j = n - i  # only tables inside u's periodic stretch may match
+        return ((j - a) % q, _less_min(table)) if a <= j <= b else j
+
+    tables, start = _until_repeat(last, step, key)
+    if start is None:
+        return (lambda j: (tables[n - j], 0)), _NO_PERIOD
+    r, P = n - len(tables) + 1, len(tables) - 1 - start
+    d = int(tables[-1].min() - tables[start].min())
+
+    def shifted(j: int) -> tuple[np.ndarray, int]:
+        s = max(0, -(-(r - j) // P))
+        return tables[n - j - s * P], s * d
+
+    head, offset = shifted(a)
+    heads = [head]  # heads[i] + offset is family(a - i)
+    for j in range(a - 1, -1, -1):
+        heads.append(_column_step(heads[-1], _INNER[u[j]][:, 0], m))
+    return (lambda j: (heads[a - j], offset) if j < a else shifted(j)), (a, r + P, P)
 
 
 def dp_min(n: int, kind: DominationKind) -> SolveResult:
@@ -222,23 +365,24 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     m = _chain(kind)
     table, offset = m.power(n)
     minimum = _closed_minimum(table, offset, n, kind)
-    rows = np.flatnonzero(np.diagonal(table) + offset == minimum)
+    rows = np.flatnonzero(np.diagonal(table) == minimum - offset)
 
-    # phase 1: fix outer memberships greedily, inner choices left free
-    outer = np.broadcast_to([[1, 3], [0, 2]], (n, 2, 2))
-    u_bits, rows = _greedy_bits(m, minimum, rows, rows, lambda j: m.power(n - j), outer)
+    # phase 1: fix outer memberships greedily, inner choices left free;
+    # its suffix tables repeat with period p while N columns remain
+    start, period, _ = m.cycle
+    u, rows, u_period = _greedy_bits(
+        m, minimum, rows, rows, lambda j: m.power(n - j), lambda j: _OUTER,
+        n, (0, n - start, period),
+    )
 
     # phase 2: outer memberships frozen, fix inner memberships greedily
-    u = np.array(u_bits)
-    inner = np.stack([u | 2, u], axis=1)[:, :, None]
-    family = np.full((n + 1, _N_STATES, len(rows)), _INF, dtype=np.float32)
-    family[n, rows, np.arange(len(rows))] = 0.0
-    for j in range(n - 1, -1, -1):
-        _column_step(family[j + 1], inner[j, :, 0], m, out=family[j])
+    family, family_period = _family(m, u, rows, u_period)
     cols = np.arange(len(rows))
-    v_bits, _ = _greedy_bits(m, minimum, rows, cols, lambda j: (family[j], 0), inner)
+    v, _, _ = _greedy_bits(
+        m, minimum, rows, cols, family, lambda j: _INNER[u[j]], n, family_period
+    )
 
-    witness = VertexSet.from_arrays(u_bits, v_bits)
+    witness = VertexSet.from_arrays(u, v)
     if len(witness) != minimum:
         raise InternalError(
             f"reconstructed witness has size {len(witness)}, expected {minimum}"

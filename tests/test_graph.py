@@ -221,6 +221,24 @@ class TestVertexSetModel:
         assert T == S
         assert hash(T) == hash(S)
 
+    @given(
+        names=st.lists(
+            st.builds("{}{}".format, st.sampled_from("uv"), st.integers(0, 200)),
+            max_size=40,
+        ),
+        n=st.integers(5, 70),
+    )
+    def test_from_names_matches_parsed_vertices(self, names, n):
+        # indices reduced mod n, duplicates and order immaterial
+        S = VertexSet.from_names(names, n)
+        assert S == VertexSet.of(parse_vertex(name, n) for name in names)
+        assert S.members == frozenset(parse_vertex(name, n) for name in names)
+        assert VertexSet.from_names(",".join(names), n) == S
+
+    def test_from_names_rejects_bad_name(self):
+        with pytest.raises(ParameterError, match="must match u<i> or v<i>, got 'w3'"):
+            VertexSet.from_names(["u1", "w3"], 5)
+
     def test_of_rejects_negative_index(self):
         with pytest.raises(ParameterError, match="vertex u-1 has a negative index"):
             VertexSet.of([Vertex(Ring.OUTER, -1)])

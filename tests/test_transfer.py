@@ -88,6 +88,30 @@ class TestWitness:
         digest = hashlib.sha256("\n".join(names).encode()).hexdigest()
         assert digest == self.WITNESS_SHA256[n, kind]
 
+    # sha256 of "\n\n".join of the texts above over n = lo..hi, and of the
+    # one text at n = 10^5, recorded from an implementation that stepped
+    # every column of both greedy phases
+    RANGE_SHA256 = {
+        (5, 150, K.PLAIN): "9800d1a181cd2d69a8524a6a41c5547f326367b844b301d4cdd49eb830677aff",
+        (5, 150, K.TOTAL): "60222b28afc3ad6cf4ff7c72174a1f97750509bbd68cca888b3cd08c545d6e5f",
+        (5, 150, K.ONE_TWO): "32fac23d0f7235fd1bbe6d68afd2e5f2820b07edd221bc529b53f1645a2d581d",
+        (5, 150, K.ONE_TWO_TOTAL): "a43ef7acdfc32175099b68dbf68f5e1f7da07b1f068410c716da36f23b8c344e",
+        (9990, 10005, K.PLAIN): "bede48a3d0f94798cb650becad1ba720abf33013f3d3bb2e529006135ba4cce5",
+        (9990, 10005, K.TOTAL): "833f4f3d09a1114270302382f410dfff4cb2089e62cfd058418462e69c6dda95",
+        (9990, 10005, K.ONE_TWO): "a85e06617d547308db11adf6f0ef37f6ba64b23d6e06e672c3db47c8f08ffc5b",
+        (9990, 10005, K.ONE_TWO_TOTAL): "e863bc34fffcc65545d17df67963b9ff8decb80c8c0f7a3ef2a1dda0f2e98b68",
+        (10**5, 10**5, K.PLAIN): "7c5120a2cab1134e8d2c431163f60fd043087fbddeef57061e23cc391cca13fe",
+        (10**5, 10**5, K.TOTAL): "39899d6df964ca3d53d0d3249692e71a3f613352ebf20440de5dc27669dbad51",
+        (10**5, 10**5, K.ONE_TWO): "18397be76de3c82bf8f5dd531af0d0a0bbd45bf688166640c0530e888f08b852",
+        (10**5, 10**5, K.ONE_TWO_TOTAL): "dc90342dcc5c9c4a01f58fa6ecaab48a1c14698082a5a148d69dd0e9923025a5",
+    }
+
+    @pytest.mark.parametrize("lo,hi,kind", list(RANGE_SHA256), ids=str)
+    def test_witness_range_pinned(self, lo, hi, kind):
+        texts = ("\n".join(dp_min(n, kind).witness.names()) for n in range(lo, hi + 1))
+        digest = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+        assert digest == self.RANGE_SHA256[lo, hi, kind]
+
     @pytest.mark.parametrize("kind", list(K))
     def test_tracemalloc_peak_at_2000(self, kind, monkeypatch):
         # includes building the chain; n + 1 stored 64x64 float32 tables
@@ -237,6 +261,87 @@ class TestPeriodicChain:
                         assert result.witness == want.witness
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestPeriodicWalk:
+    # the greedy phases skip whole periods, so their work does not grow with n
+    @pytest.mark.parametrize("kind", list(K))
+    def test_column_steps_bounded(self, kind, monkeypatch):
+        transfer._chain(kind)
+        calls = []
+        step = transfer._column_step
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(transfer, "_column_step", counting)
+        for n in (10**3, 10**4, 10**5):
+            calls.clear()
+            dp_min(n, kind)
+            assert len(calls) < 1000, n
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_tracemalloc_peak_at_100000(self, kind):
+        # the chain is built; storing phase 2's backward family for every
+        # column would take 24 MiB per live start row
+        transfer._chain(kind)
+        tracemalloc.start()
+        try:
+            dp_min(10**5, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_family_matches_stepped_tables(self, kind, monkeypatch):
+        # phase 1's claimed period holds for its bits, and phase 2's stored
+        # tables plus shifts equal the backward family stepped per column
+        chain = transfer._chain(kind)
+        family = transfer._family
+        calls = []
+        monkeypatch.setattr(
+            transfer, "_family", lambda *args: calls.append(args) or family(*args)
+        )
+        for n in (157, 1000, 1003):
+            calls.clear()
+            dp_min(n, kind)
+            [(_, u, rows, (a, b, q))] = calls
+            assert 0 < a < 20 and b > n - 50
+            assert all(u[x] == u[x + q] for x in range(a, b - q))
+            served, _ = family(chain, u, rows, (a, b, q))
+            table = np.full((64, len(rows)), np.inf, dtype=np.float32)
+            table[rows, np.arange(len(rows))] = 0.0
+            for j in range(n, -1, -1):
+                got, offset = served(j)
+                np.testing.assert_array_equal(got + offset, table)
+                choices = transfer._INNER[u[j - 1]][:, 0]
+                table = transfer._column_step(table, choices, chain)
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_matches_unskipped_walk(self, kind, monkeypatch):
+        # with keys that never repeat, both phases step every column and
+        # phase 2 stores its whole backward family
+        expected = {n: dp_min(n, kind).witness for n in (157, 311, 1000, 1001, 1002, 1003)}
+        until_repeat = transfer._until_repeat
+        monkeypatch.setattr(
+            transfer,
+            "_until_repeat",
+            lambda first, step, key: until_repeat(first, step, lambda state, i: i),
+        )
+        for n, witness in expected.items():
+            assert dp_min(n, kind).witness == witness, n
+
+
+class TestIntegerMinimum:
+    @pytest.mark.parametrize("kind", list(K))
+    def test_dp_minima_past_float_precision(self, kind, monkeypatch):
+        # float32 holds integers exactly only to 2^24 and float64 to 2^53
+        monkeypatch.setattr(transfer, "_MAX_N", 10**18 + 13)
+        formula = FORMULAS[kind]
+        for lo in (2**25, 10**12, 10**18):
+            assert dp_minima(lo, lo + 12, kind) == [formula(n) for n in range(lo, lo + 13)]
 
 
 class TestExactnessGuard:
