@@ -43,19 +43,21 @@ same tie-break the brute-force solver uses.  The outer bits are fixed
 first with the inner choices free (phase 1), then the inner bits with
 the outer ones frozen (phase 2).
 
-Periodic free suffix tables.  With no forced choices, the backward table
-of a suffix of L columns is M^L, the L-th min-plus power of the 64x64
-one-column matrix M (the four choices merged), whatever n is.  These
-powers are eventually periodic: once M^L minus its smallest entry equals
-an earlier M^N minus its own, byte for byte, M^(N+p+L') = M^(N+L') + lam
-for every L' >= 0, where p = L - N and lam is the difference of the two
-smallest entries.  So one chain per kind, built once on first use, holds
-only M^0..M^(N+p-1), at most 24 tables, and gives M^L for any L as
-M^(N + (L-N) % p) + lam * ((L-N) // p).  The minimum for n is the
-smallest diagonal entry of M^n; ``dp_minima`` reads it off the chain for
-every n in a range, and phase 1 reads its suffix tables from it.  Phase
-2's suffixes depend on the fixed outer bits, so it steps a backward
-family of its own, which is periodic too (below).
+Periodic suffix tables.  Every backward table is a suffix table T_L:
+the cost of the last L columns from each entering interface to each
+target, with T_0 the identity on the targets.  One builder,
+``_suffixes``, steps it back one column at a time.  Where the columns'
+choices repeat with period P over a stretch of lengths L, it stops once
+T_(N+p) less its smallest entry equals T_N less its own, byte for byte,
+at the same phase mod P; then T_(L+p) = T_L + d for every L >= N in the
+stretch, so each later T_L is a stored table plus an int shift, and the
+few tables past the stretch are stepped from its last one.  With all 64
+targets and no forced choices T_L is M^L, the L-th min-plus power of the
+64x64 one-column matrix M (the four choices merged), whatever n is: one
+chain per kind, built once on first use, stores at most 24 tables, and
+the minimum for n is the smallest diagonal entry of M^n (``dp_minima``
+reads it for every n in a range).  Each greedy phase builds its own
+tables with one target per live start interface (below).
 
 Live start interfaces.  Each row of the forward table is one start
 interface of the closed tour.  A row whose best closed total under the
@@ -63,7 +65,8 @@ commitments made so far exceeds the minimum is dropped: a further
 commitment only removes tours, so its total can never fall back to the
 minimum, and the test "some row attains the minimum" reads the same
 without it.  In practice one to three rows are left after a few
-columns, so phase 2's backward family has one column per live row, not 64.
+columns, so each phase's suffix tables have one column per row live
+when it starts, not 64.
 
 Periodic witness reconstruction.  A greedy walk is a deterministic
 process whose state entering column j is the live rows and the forward
@@ -76,25 +79,21 @@ options and suffix tables repeat with period P, a state that repeats
 (same rows and forward table at the same phase mod P, found with a dict)
 therefore repeats every q columns from there on: the walk tiles that
 stretch's bits, adds its cost to base per period, and jumps ahead,
-stepping again only near the end.  In phase 1 the suffix tables are the
-chain's, periodic while at least N columns remain, and the state repeats
-within about 20 columns.  The outer bits it returns are a prefix, a
-periodic stretch and a tail, so phase 2's backward family, stepped from
-the tail, repeats up to a constant inside the periodic stretch; only the
-tables from the tail to that repeat are stored, the rest are one of them
-plus a shift, and the tables before the stretch are stepped from it.
-Phase 2's walk then skips periods the same way.  Each phase runs a
-number of column steps independent of n; only the bit arrays, the
-witness and its validation are O(n).
+stepping again only near the end.  Phase 1's options are the same at
+every column, and its state repeats within about 20 columns.  The outer
+bits it returns are a prefix, a periodic stretch and a tail, so phase
+2's options repeat over that stretch and its walk skips periods the same
+way.  Each phase runs a number of column steps independent of n; only
+the bit arrays, the witness and its validation are O(n).
 
-Exactness bound.  Table entries are float32, whose integers are exact
-only up to 2^24, and offsets and bases are Python ints.  The chain's
-tables and the walks' forward and stored suffix tables only hold costs
-of a bounded number of columns (all n of them only when n is too short
-to show a period), so every entry stays small; the minimum
-is int(smallest diagonal entry) + offset.  ``dp_min`` and ``dp_minima``
-still refuse n > 2^23 with ``SizeLimitError`` before allocating
-anything.
+Size bound.  Table entries are float32 but only ever hold costs of a
+bounded number of columns (all n only when n is too short to show a
+period); offsets, bases and minima are Python ints, so the minimum,
+int(smallest diagonal entry) + offset, is exact for every n.  Memory
+grows with n: ``dp_min``'s bits, witness and validation are O(n) and
+``dp_minima`` returns one int per n.  Both refuse to materialise more
+than 2^23 columns (n, or hi - lo + 1) with ``SizeLimitError`` before
+allocating anything.
 """
 
 from __future__ import annotations
@@ -115,17 +114,17 @@ _INF = np.float32(np.inf)
 _ALL_CHOICES = np.arange(4)
 _OUTER = np.array([[1, 3], [0, 2]])  # choices with u_j in S, and without
 _INNER = np.array([[[2], [0]], [[3], [1]]])  # [u_j]: with v_j in S, and without
-_MAX_N = 2**23  # costs stay <= 2 * _MAX_N = 2^24, where float32 is still exact
+_MAX_N = 2**23  # most columns one call materialises (see "Size bound")
 _NO_PERIOD = (0, 0, 1)  # a (lo, hi, P) period that holds for no column
 
 _State = TypeVar("_State")
 _Suffix = Callable[[int], tuple[np.ndarray, int]]
 
 
-def _check_exact(n: int) -> None:
-    if n > _MAX_N:
+def _check_size(columns: int) -> None:
+    if columns > _MAX_N:
         raise SizeLimitError(
-            f"float32 costs are exact only for n <= 2^23 = {_MAX_N}, got n={n}"
+            f"a call materialises at most 2^23 = {_MAX_N} columns, got {columns}"
         )
 
 
@@ -161,8 +160,8 @@ class _Chain:
     cost[c, s, 0] its cost a + b, or INF where the kind refuses it;
     pre[c, t] lists the four states s with succ[c, s] == t, or none, and
     pre_cost[c, t] their costs (INF where none is feasible).  Built whole:
-    tables holds M^0..M^(N+p-1), stepped from the identity until a power
-    less its minimum repeats, and cycle = (N, p, lam) as described above.
+    power(L) = (table, offset) with M^L = table + offset, and
+    cycle = (N, p, d) as described above.
     """
 
     def __init__(self, kind: DominationKind) -> None:
@@ -183,22 +182,9 @@ class _Chain:
                 self.pre[c, t, i], self.pre_cost[c, t, i] = s, cost
         identity = np.full((_N_STATES, _N_STATES), _INF, dtype=np.float32)
         np.fill_diagonal(identity, 0.0)
-        tables, start = _until_repeat(
-            identity,
-            lambda table, _: _column_step(table, _ALL_CHOICES, self),
-            lambda table, _: _less_min(table),
+        self.power, self.cycle = _suffixes(
+            self, identity, lambda L: _ALL_CHOICES, np.inf, (0, np.inf, 1)
         )
-        self.tables = tables[:-1]
-        lam = int(tables[-1].min() - tables[start].min())
-        self.cycle = (start, len(self.tables) - start, lam)
-
-    def power(self, length: int) -> tuple[np.ndarray, int]:
-        """(table, offset) with M^length = table + offset."""
-        start, period, lam = self.cycle
-        if length < start:
-            return self.tables[length], 0
-        periods, rest = divmod(length - start, period)
-        return self.tables[start + rest], lam * periods
 
 
 _CHAINS: dict[DominationKind, _Chain] = {}
@@ -216,6 +202,54 @@ def _column_step(table: np.ndarray, choices: np.ndarray, m: _Chain) -> np.ndarra
     return np.minimum.reduce(table[m.succ[choices]] + m.cost[choices], axis=0)
 
 
+def _suffixes(
+    m: _Chain,
+    first: np.ndarray,
+    choices: Callable[[int], np.ndarray],
+    top: float,
+    stretch: tuple[float, float, int],
+) -> tuple[_Suffix, tuple[int, int, int] | None]:
+    """Suffix tables T_0 = first and T_(L+1) = T_L stepped back one column
+    under choices(L), for L = 0..top.
+
+    stretch (lo, hi, P) says choices(L) == choices(L + P) whenever lo <= L
+    and L + P < hi.  Stepped until T_(N+p) = T_N + d with lo <= N,
+    N + p <= hi and p a multiple of P; then T_(L+p) = T_L + d for N <= L
+    and L + p <= hi, and the tables past hi are stepped from T_hi.
+    Returns suffix(L) = (table, offset) with T_L = table + offset, and
+    (N, p, d), or None if no table repeated.
+    """
+    lo, hi, P = stretch
+
+    def step(table: np.ndarray, L: int) -> np.ndarray | None:
+        return _column_step(table, choices(L), m) if L < top else None
+
+    def key(table: np.ndarray, L: int) -> Hashable:
+        return ((L - lo) % P, _less_min(table)) if lo <= L <= hi else L
+
+    tables, start = _until_repeat(first, step, key)
+    if start is None:
+        return (lambda L: (tables[L], 0)), None
+    period = len(tables) - 1 - start
+    d = int(tables[-1].min() - tables[start].min())
+
+    def suffix(L: int) -> tuple[np.ndarray, int]:
+        if L > hi:
+            return heads[L - hi], shift
+        if L < start:
+            return tables[L], 0
+        periods, rest = divmod(L - start, period)
+        return tables[start + rest], d * periods
+
+    heads, shift = [], 0
+    if hi < top:  # heads[i] + shift is T_(hi+i)
+        head, shift = suffix(hi)
+        heads, _ = _until_repeat(
+            head, lambda table, i: step(table, hi + i), lambda _, i: i
+        )
+    return suffix, (start, period, d)
+
+
 def _closed_minimum(table: np.ndarray, offset: int, n: int, kind: DominationKind) -> int:
     """Smallest closed-tour cost (diagonal entry) of an n-column table."""
     low = np.diagonal(table).min()
@@ -226,12 +260,11 @@ def _closed_minimum(table: np.ndarray, offset: int, n: int, kind: DominationKind
 
 class _Walk(NamedTuple):
     """A greedy walk entering a column: forward[r, t] + base is the
-    cheapest committed prefix from start interface rows[r] to interface
-    t, with forward's minimum 0; cols[r] is rows[r]'s column in the suffix
-    tables, and bit the bit fixed at the column before."""
+    cheapest committed prefix from start interface rows[cols[r]] to
+    interface t, with forward's minimum 0, and bit the bit fixed at the
+    column before."""
 
     forward: np.ndarray
-    rows: np.ndarray
     cols: np.ndarray
     base: int
     bit: int = 0
@@ -241,8 +274,6 @@ def _greedy_bits(
     m: _Chain,
     minimum: int,
     rows: np.ndarray,
-    cols: np.ndarray,
-    suffix: _Suffix,
     options: Callable[[int], np.ndarray],
     n: int,
     period: tuple[int, int, int],
@@ -250,35 +281,42 @@ def _greedy_bits(
     """Fix one membership bit per column, left to right: set it exactly
     when some closed tour of cost minimum extends the commitments so far.
 
-    rows are the live start interfaces and cols their columns in
-    suffix(j), the (table, offset) of columns j..n-1; options(j) holds
-    the choices of column j with the bit set and with it unset.  period
-    (lo, hi, P) says that columns x and x + P have the same options and
-    suffix tables equal up to a constant whenever lo <= x and x + P < hi;
-    there a repeated walk state is skipped ahead by whole periods.
-    Returns the bits, the start interfaces still live after the last
-    column and (a, b, q): bit x equals bit x + q whenever a <= x and
-    x + q < b.
+    rows are the live start interfaces and options(j) holds the choices
+    of column j with the bit set and with it unset; period (lo, hi, P)
+    says options(x) == options(x + P) whenever lo <= x and x + P < hi.
+    Where the suffix tables over rows repeat too, a repeated walk state
+    is skipped ahead by whole periods.  Returns the bits, the start
+    interfaces still live after the last column and (a, b, q): bit x
+    equals bit x + q whenever a <= x and x + q < b.
     """
+    lo, hi, P = period
+    cols = np.arange(len(rows))
+    last = np.full((_N_STATES, len(rows)), _INF, dtype=np.float32)
+    last[rows, cols] = 0.0  # T_0[s, r]: no column left, s must be rows[r]
+    suffix, cycle = _suffixes(
+        m, last, lambda L: options(n - 1 - L).ravel(), n - 1, (n - hi, n - lo, P)
+    )
+    # walk states repeat where options do and suffix(n - 1 - j) is periodic
+    lo, hi, P = (lo, n - cycle[0], cycle[1]) if cycle else _NO_PERIOD
 
     def step(walk: _Walk, j: int) -> _Walk:
-        forward, rows, cols = walk.forward, walk.rows, walk.cols
+        forward, cols = walk.forward, walk.cols
         yes, no = options(j)
-        table, offset = suffix(j + 1)
+        table, offset = suffix(n - 1 - j)
         table = table[:, cols]
         goal = minimum - walk.base - offset
         totals = np.minimum.reduce(forward + _column_step(table, yes, m).T, axis=1)
         bit = int(np.minimum.reduce(totals) == goal)
-        if len(rows) > 1:
+        if len(cols) > 1:
             if not bit:
                 totals = np.minimum.reduce(forward + _column_step(table, no, m).T, axis=1)
             live = totals <= goal
-            forward, rows, cols = forward[live], rows[live], cols[live]
+            forward, cols = forward[live], cols[live]
         chosen = yes if bit else no
         gathered = forward[:, m.pre[chosen]] + m.pre_cost[chosen]
         forward = np.minimum.reduce(gathered, axis=(1, 3))
         low = forward.min()
-        return _Walk(forward - low, rows, cols, walk.base + int(low), bit)
+        return _Walk(forward - low, cols, walk.base + int(low), bit)
 
     bits = np.empty(n, dtype=np.uint8)
 
@@ -288,13 +326,11 @@ def _greedy_bits(
             bits[j] = walk.bit
         return walk
 
-    lo, hi, P = period
-    forward = np.full((len(rows), _N_STATES), _INF, dtype=np.float32)
-    forward[np.arange(len(rows)), rows] = 0.0  # F[r, t]: prefix cost from rows[r]
+    # F[r, t]: prefix cost from rows[r], the transpose of T_0
     walks, start = _until_repeat(
-        run(_Walk(forward, rows, cols, 0), 0, lo),
+        run(_Walk(last.T, cols, 0), 0, lo),
         lambda walk, i: step(walk, lo + i) if lo + i + P < hi else None,
-        lambda walk, i: (i % P, walk.rows.tobytes(), walk.forward.tobytes()),
+        lambda walk, i: (i % P, walk.cols.tobytes(), walk.forward.tobytes()),
     )
     j = lo + len(walks) - 1
     bits[lo:j] = [walk.bit for walk in walks[1:]]
@@ -306,50 +342,7 @@ def _greedy_bits(
         walk = walk._replace(base=walk.base + periods * (walk.base - walks[start].base))
         skip = (j - q, j + periods * q, q)
         j += periods * q
-    return bits, run(walk, j, n).rows, skip
-
-
-def _family(
-    m: _Chain, u: np.ndarray, rows: np.ndarray, period: tuple[int, int, int]
-) -> tuple[_Suffix, tuple[int, int, int]]:
-    """Phase 2's suffix tables: family(j) = (table, offset) of columns
-    j..n-1 with the outer bits u fixed, one column per live start row,
-    and the period of family(j + 1) as ``_greedy_bits`` takes it.
-
-    u repeats with period q on a..b-1, period = (a, b, q).  Stepped back
-    from column n until, inside that stretch, a table less its minimum
-    repeats the one P columns later at the same phase mod q; below that
-    column r, family(j) = family(j + s*P) + s*d down to a, and the tables
-    before a are stepped from family(a).
-    """
-    n = len(u)
-    a, b, q = period
-    last = np.full((_N_STATES, len(rows)), _INF, dtype=np.float32)
-    last[rows, np.arange(len(rows))] = 0.0
-
-    def step(table: np.ndarray, i: int) -> np.ndarray | None:
-        j = n - 1 - i  # tables[i] is family(n - i), and this is family(j)
-        return _column_step(table, _INNER[u[j]][:, 0], m) if j >= 0 else None
-
-    def key(table: np.ndarray, i: int) -> Hashable:
-        j = n - i  # only tables inside u's periodic stretch may match
-        return ((j - a) % q, _less_min(table)) if a <= j <= b else j
-
-    tables, start = _until_repeat(last, step, key)
-    if start is None:
-        return (lambda j: (tables[n - j], 0)), _NO_PERIOD
-    r, P = n - len(tables) + 1, len(tables) - 1 - start
-    d = int(tables[-1].min() - tables[start].min())
-
-    def shifted(j: int) -> tuple[np.ndarray, int]:
-        s = max(0, -(-(r - j) // P))
-        return tables[n - j - s * P], s * d
-
-    head, offset = shifted(a)
-    heads = [head]  # heads[i] + offset is family(a - i)
-    for j in range(a - 1, -1, -1):
-        heads.append(_column_step(heads[-1], _INNER[u[j]][:, 0], m))
-    return (lambda j: (heads[a - j], offset) if j < a else shifted(j)), (a, r + P, P)
+    return bits, rows[run(walk, j, n).cols], skip
 
 
 def dp_min(n: int, kind: DominationKind) -> SolveResult:
@@ -361,26 +354,16 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     """
     if n < 5:
         raise ParameterError(f"dp_min requires n >= 5, got n={n}")
-    _check_exact(n)
+    _check_size(n)
     m = _chain(kind)
     table, offset = m.power(n)
     minimum = _closed_minimum(table, offset, n, kind)
     rows = np.flatnonzero(np.diagonal(table) == minimum - offset)
 
-    # phase 1: fix outer memberships greedily, inner choices left free;
-    # its suffix tables repeat with period p while N columns remain
-    start, period, _ = m.cycle
-    u, rows, u_period = _greedy_bits(
-        m, minimum, rows, rows, lambda j: m.power(n - j), lambda j: _OUTER,
-        n, (0, n - start, period),
-    )
-
+    # phase 1: fix outer memberships greedily, inner choices left free
+    u, rows, u_period = _greedy_bits(m, minimum, rows, lambda j: _OUTER, n, (0, n, 1))
     # phase 2: outer memberships frozen, fix inner memberships greedily
-    family, family_period = _family(m, u, rows, u_period)
-    cols = np.arange(len(rows))
-    v, _, _ = _greedy_bits(
-        m, minimum, rows, cols, family, lambda j: _INNER[u[j]], n, family_period
-    )
+    v, _, _ = _greedy_bits(m, minimum, rows, lambda j: _INNER[u[j]], n, u_period)
 
     witness = VertexSet.from_arrays(u, v)
     if len(witness) != minimum:
@@ -400,6 +383,6 @@ def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:
         raise ParameterError(f"dp_minima requires lo >= 5, got lo={lo}")
     if lo > hi:
         raise ParameterError(f"dp_minima requires lo <= hi, got lo={lo}, hi={hi}")
-    _check_exact(hi)
+    _check_size(hi - lo + 1)
     m = _chain(kind)
     return [_closed_minimum(*m.power(n), n, kind) for n in range(lo, hi + 1)]

@@ -187,17 +187,23 @@ class TestPeriodicChain:
             (K.ONE_TWO_TOTAL, (18, 3, 2)),
         ],
     )
-    def test_cycle(self, kind, cycle):
-        # the whole chain exists on construction, before any power is read
+    def test_cycle(self, kind, cycle, monkeypatch):
+        # the whole chain exists on construction: reading a power steps
+        # no column
         chain = transfer._Chain(kind)
         assert chain.cycle == cycle
-        assert len(chain.tables) == cycle[0] + cycle[1]
-        assert all(table.shape == (64, 64) for table in chain.tables)
+        calls = []
+        step = transfer._column_step
+        monkeypatch.setattr(
+            transfer, "_column_step", lambda *args: calls.append(1) or step(*args)
+        )
+        assert all(chain.power(length)[0].shape == (64, 64) for length in range(200))
+        assert calls == []
 
     @pytest.mark.parametrize("kind", list(K))
     def test_powers_equal_repeated_steps(self, kind):
         chain = transfer._Chain(kind)
-        table = chain.tables[0]
+        table, _ = chain.power(0)
         for length in range(80):
             periodic, offset = chain.power(length)
             np.testing.assert_array_equal(periodic + offset, table)
@@ -227,7 +233,7 @@ class TestPeriodicChain:
         # one column read forward (predecessors) or backward (successors)
         # is the same matrix
         chain = transfer._Chain(kind)
-        identity = chain.tables[0]
+        identity, _ = chain.power(0)
         for c in range(4):
             forward = np.minimum.reduce(
                 identity[:, chain.pre[c]] + chain.pre_cost[c], axis=2
@@ -295,29 +301,50 @@ class TestPeriodicWalk:
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("kind", list(K))
-    def test_family_matches_stepped_tables(self, kind, monkeypatch):
-        # phase 1's claimed period holds for its bits, and phase 2's stored
-        # tables plus shifts equal the backward family stepped per column
-        chain = transfer._chain(kind)
-        family = transfer._family
+    def test_suffixes_match_stepped_tables(self, kind, monkeypatch):
+        # each caller's claimed stretch holds for its choices, and every
+        # served table plus its shift equals the table stepped per column:
+        # the chain's to L = 200, then both phases of dp_min
+        suffixes = transfer._suffixes
         calls = []
-        monkeypatch.setattr(
-            transfer, "_family", lambda *args: calls.append(args) or family(*args)
-        )
-        for n in (157, 1000, 1003):
+
+        def recording(*args):
+            calls.append((args, suffixes(*args)))
+            return calls[-1][1]
+
+        def check(m, first, choices, top, stretch, served):
+            lo, hi, P = stretch
+            if top == np.inf:
+                top = 200
+            for length in range(lo, min(hi, top + 1) - P):
+                np.testing.assert_array_equal(choices(length), choices(length + P))
+            table = first
+            for length in range(top + 1):
+                got, offset = served(length)
+                np.testing.assert_array_equal(got + offset, table)
+                table = transfer._column_step(table, choices(length), m)
+
+        monkeypatch.setattr(transfer, "_suffixes", recording)
+        monkeypatch.setattr(transfer, "_CHAINS", {})
+        chain = transfer._chain(kind)
+        [(args, (served, cycle))] = calls
+        assert cycle == chain.cycle
+        check(*args, served)
+        for n in (13, 157, 1000, 1003):
             calls.clear()
             dp_min(n, kind)
-            [(_, u, rows, (a, b, q))] = calls
-            assert 0 < a < 20 and b > n - 50
-            assert all(u[x] == u[x + q] for x in range(a, b - q))
-            served, _ = family(chain, u, rows, (a, b, q))
-            table = np.full((64, len(rows)), np.inf, dtype=np.float32)
-            table[rows, np.arange(len(rows))] = 0.0
-            for j in range(n, -1, -1):
-                got, offset = served(j)
-                np.testing.assert_array_equal(got + offset, table)
-                choices = transfer._INNER[u[j - 1]][:, 0]
-                table = transfer._column_step(table, choices, chain)
+            [(outer, (outer_served, _)), (inner, (inner_served, inner_cycle))] = calls
+            assert outer[3] == inner[3] == n - 1
+            if n == 13:
+                assert inner_cycle is None
+            else:
+                # phase 2 repeats inside u's period and steps the columns
+                # before it
+                lo, hi, _ = inner[4]
+                assert lo < 50 and n - 20 < hi < n - 1
+                assert inner_cycle is not None
+            check(*outer, outer_served)
+            check(*inner, inner_served)
 
     @pytest.mark.parametrize("kind", list(K))
     def test_matches_unskipped_walk(self, kind, monkeypatch):
@@ -336,24 +363,23 @@ class TestPeriodicWalk:
 
 class TestIntegerMinimum:
     @pytest.mark.parametrize("kind", list(K))
-    def test_dp_minima_past_float_precision(self, kind, monkeypatch):
+    def test_dp_minima_past_float_precision(self, kind):
         # float32 holds integers exactly only to 2^24 and float64 to 2^53
-        monkeypatch.setattr(transfer, "_MAX_N", 10**18 + 13)
         formula = FORMULAS[kind]
         for lo in (2**25, 10**12, 10**18):
             assert dp_minima(lo, lo + 12, kind) == [formula(n) for n in range(lo, lo + 13)]
 
 
-class TestExactnessGuard:
-    # float32 costs are exact up to 2^24 and a column costs at most 2
+class TestSizeGuard:
+    # dp_min materialises O(n) bits, witness and validation arrays, and
+    # dp_minima one int per n in lo..hi
     @pytest.mark.parametrize(
         "call",
         [
             lambda: dp_min(2**23 + 1, K.ONE_TWO),
-            lambda: dp_minima(5, 2**23 + 1, K.ONE_TWO),
-            lambda: dp_minima(2**23 + 1, 2**23 + 1, K.ONE_TWO),
+            lambda: dp_minima(10, 10 + 2**23, K.ONE_TWO),
         ],
-        ids=["dp_min", "dp_minima", "dp_minima_single"],
+        ids=["dp_min", "dp_minima"],
     )
     def test_refused_before_allocating(self, call, monkeypatch):
         # with no cached chain, a guard placed after the chain is built
@@ -361,7 +387,7 @@ class TestExactnessGuard:
         monkeypatch.setattr(transfer, "_CHAINS", {})
         tracemalloc.start()
         try:
-            with pytest.raises(SizeLimitError, match=r"n <= 2\^23 = 8388608"):
+            with pytest.raises(SizeLimitError, match=r"at most 2\^23 = 8388608 columns"):
                 call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -369,11 +395,12 @@ class TestExactnessGuard:
         assert peak < 64 * 1024  # one 64x64 float32 table is 16 KiB
 
     def test_bound_is_inclusive(self, monkeypatch):
-        # a lowered bound shows the guard refuses n > bound, not n >= bound
+        # a lowered bound shows the guard refuses more than bound columns,
+        # not bound or more
         monkeypatch.setattr(transfer, "_MAX_N", 20)
-        assert dp_minima(5, 20, K.ONE_TWO) == [f_one_two(n) for n in range(5, 21)]
+        assert dp_minima(5, 24, K.ONE_TWO) == [f_one_two(n) for n in range(5, 25)]
         assert dp_min(20, K.ONE_TWO).minimum == f_one_two(20)
         with pytest.raises(SizeLimitError):
-            dp_minima(5, 21, K.ONE_TWO)
+            dp_minima(5, 25, K.ONE_TWO)
         with pytest.raises(SizeLimitError):
             dp_min(21, K.ONE_TWO)
