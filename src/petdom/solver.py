@@ -3,8 +3,16 @@
 Two independent solvers compute minimum dominating sets of all four
 kinds:
 
-* ``brute_force_min`` enumerates subsets in increasing cardinality with
-  early pruning (hard limit 2n <= 26);
+* ``brute_force_min`` searches subsets of each cardinality in turn, in
+  increasing order, depth first over the vertices (hard limit
+  2n <= 26).  A branch is a member mask and the masks of vertices with
+  at least 1, 2 and 3 member neighbours.  It is cut when a vertex whose
+  neighbourhood is decided lacks a dominator, when a count of 3 is
+  refused, when the picks left cannot reach every vertex still lacking
+  one or outnumber the vertices left, and, by rotational symmetry, at
+  every outer vertex once u_0 is excluded.  The include branch is
+  searched first and in full, so no cut loses the first valid set, the
+  lexicographically smallest;
 * ``dp_min`` (in :mod:`petdom.transfer`) runs a transfer-matrix dynamic
   program over columns and scales to very large n.
 
@@ -92,102 +100,86 @@ class SolveResult:
 class _ExactSearch:
     """Depth-first search over subsets of exactly m vertices.
 
-    Vertices are decided in canonical rank order with the include branch
-    explored first, so the first complete valid set found for a given m
-    is the lexicographically smallest one.  All pruning rules only cut
-    branches that cannot lead to a valid set of the target size.
+    Vertices are decided in canonical rank order (u_0..u_{n-1}, then
+    v_0..v_{n-1}) with the include branch explored first, so the first
+    complete valid set found for a given m is the lexicographically
+    smallest one.  A branch is four int masks over ranks, passed down
+    and never undone: S, its members, and ge1, ge2, ge3, the vertices
+    with at least 1, 2 or 3 members among their neighbours.  Including
+    p with neighbour mask nb sets ge3 |= ge2 & nb, ge2 |= ge1 & nb and
+    ge1 |= nb.  Excluding p moves on to p + 1 in the same call, so
+    ``_dfs`` runs once per search and once per include branch.  With
+    ranks below p decided, a branch is cut when
+
+    * a vertex of fin[p], whose closed neighbourhood lies below p, lacks
+      a dominator it needs;
+    * a vertex has 3 member neighbours where the kind allows at most 2
+      (counts only grow; an undecided vertex is judged as a member, its
+      best case);
+    * more vertices lack a dominator they need than the picks left can
+      reach, at most ``cover`` each;
+    * fewer ranks remain than picks left.
+
+    Once no pick is left, every vertex is checked with the undecided ones
+    outside S.
+
+    Rotation cut: i -> i + 1 on both rings is an automorphism of P(n,k),
+    so if no valid m-set contains u_0, none contains any outer vertex.
+    The branch that includes u_0 is searched first and in full, so the
+    branch that excludes it refuses every other outer vertex: that loses
+    no valid set, and the first one found is unchanged.
     """
 
     def __init__(self, g: PetersenGraph, kind: DominationKind):
-        n = g.n
+        n = self.n = g.n
         self.order = 2 * n
-        self.covers_members = kind.covers_members
+        self.full = (1 << self.order) - 1
+        # kind.accepts on masks: a vertex passes when it is in ge1 and not
+        # in ge3 & cap, or when it is in S & exempt
+        self.exempt = self.full if kind.accepts(0, 1) else 0
+        self.cap = 0 if kind.accepts(3, 0) else self.full
         # one pick satisfies at most this many vertices still lacking a
         # dominator (3 neighbors, plus itself unless members also need one)
-        self.cover = 3 if self.covers_members else 4
+        self.cover = 3 if kind.covers_members else 4
 
         def rank(v: Vertex) -> int:
             return v.index if v.ring is Ring.OUTER else n + v.index
 
-        verts = list(g.vertices())
-        self.nbrs = [tuple(rank(w) for w in g.neighbors(v)) for v in verts]
-        # a vertex's constraint is fully determined once it and all its
-        # neighbors are decided
-        self.finalize: list[list[int]] = [[] for _ in range(self.order)]
-        for r in range(self.order):
-            self.finalize[max(r, *self.nbrs[r])].append(r)
-        # ok[member][count]: kind.accepts tabulated once, since the
-        # search consults it at every node
-        self.ok = [[kind.accepts(c, m) for c in range(4)] for m in (0, 1)]
-        self.counts = [0] * self.order
-        self.in_set = 0
-        self.zeromask = (1 << self.order) - 1
-        self.m = 0
+        self.nb = [0] * self.order
+        self.fin = [0] * (self.order + 1)
+        for v in g.vertices():
+            r, nbrs = rank(v), [rank(w) for w in g.neighbors(v)]
+            self.nb[r] = sum(1 << w for w in nbrs)
+            self.fin[max(r, *nbrs) + 1] |= 1 << r
+        for p in range(self.order):
+            self.fin[p + 1] |= self.fin[p]
 
     def search(self, m: int) -> int | None:
         """Return the bitmask of the lexicographically smallest valid set
         of size exactly m, or None."""
-        self.m = m
-        return self._dfs(0, 0)
+        return self._dfs(0, m, 0, 0, 0, 0)
 
-    def _dfs(self, p: int, picked: int) -> int | None:
-        if picked == self.m:
-            if self.zeromask:
+    def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int) -> int | None:
+        # ranks below p are decided; left more members are to be picked
+        if not left:
+            bad = (self.full & ~ge1 | ge3 & self.cap) & ~(S & self.exempt)
+            return None if bad else S
+        while True:
+            # members, and ranks from p on at best, may be exempt
+            maybe = (S | self.full >> p << p) & self.exempt
+            if (self.fin[p] & ~ge1 | ge3 & self.cap) & ~maybe:
                 return None
-            for w in range(self.order):
-                if not self.ok[(self.in_set >> w) & 1][self.counts[w]]:
-                    return None
-            return self.in_set
-        if p == self.order or self.m - picked > self.order - p:
-            return None
-        res = self._include(p, picked)
-        if res is not None:
-            return res
-        return self._exclude(p, picked)
-
-    def _include(self, p: int, picked: int) -> int | None:
-        counts = self.counts
-        self.in_set |= 1 << p
-        undo = 0
-        if not self.covers_members and (self.zeromask >> p) & 1:
-            undo |= 1 << p
-        ok = True
-        for w in self.nbrs[p]:
-            c = counts[w] + 1
-            counts[w] = c
-            if c == 1:
-                if (self.zeromask >> w) & 1:
-                    undo |= 1 << w
-            elif c == 3:
-                # counts only grow, so a vertex refused at 3 can never
-                # recover; an undecided one is judged as a member, its
-                # best case
-                if not self.ok[(self.in_set >> w) & 1 if w < p else 1][3]:
-                    ok = False
-        self.zeromask &= ~undo
-        if ok:
-            for w in self.finalize[p]:
-                if not self.ok[(self.in_set >> w) & 1][counts[w]]:
-                    ok = False
-                    break
-        if ok and self.zeromask.bit_count() > self.cover * (self.m - picked - 1):
-            ok = False
-        res = self._dfs(p + 1, picked + 1) if ok else None
-        for w in self.nbrs[p]:
-            counts[w] -= 1
-        self.zeromask |= undo
-        self.in_set &= ~(1 << p)
-        return res
-
-    def _exclude(self, p: int, picked: int) -> int | None:
-        if self.counts[p] == 3 and not self.ok[0][3]:
-            return None
-        for w in self.finalize[p]:
-            if not self.ok[(self.in_set >> w) & 1][self.counts[w]]:
+            need = self.full ^ (ge1 | S & self.exempt)
+            if need.bit_count() > self.cover * left or left > self.order - p:
                 return None
-        if self.zeromask.bit_count() > self.cover * (self.m - picked):
-            return None
-        return self._dfs(p + 1, picked)
+            if S & 1 or not 0 < p < self.n:  # the rotation cut
+                nb = self.nb[p]
+                found = self._dfs(
+                    p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb
+                )
+                if found is not None:
+                    return found
+            p += 1
 
 
 def brute_force_min(

@@ -1,7 +1,9 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
+import petdom.solver as solver
 from petdom import (
     DominationKind,
     InfeasibleError,
@@ -22,6 +24,7 @@ from petdom import (
     f_one_two,
     pair_profile,
 )
+from petdom.domination import counts
 
 K = DominationKind
 
@@ -80,6 +83,52 @@ class TestBruteForce:
         result = brute_force_min(g, K.PLAIN)
         assert result.k == 3
         assert result.minimum >= 1
+
+
+class TestExactSearch:
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_enumeration(self, n):
+        # every subset of every size, no search: row x of bits is the set
+        # whose rank r (u_0..u_{n-1}, then v_0..v_{n-1}) is bit r of x
+        bits = (np.arange(1 << 2 * n)[:, None] >> np.arange(2 * n)) & 1
+        outer, inner = bits[:, :n].T, bits[:, n:].T
+        sizes = bits.sum(axis=1)
+        gaps = 0
+        for k in range(1, (n + 1) // 2):
+            cu, cv = counts(n, k, outer, inner)
+            for kind in K:
+                valid = (kind.accepts(cu, outer) & kind.accepts(cv, inner)).all(axis=0)
+                search = solver._ExactSearch(build_petersen(n, k), kind)
+                for m in range(2 * n + 1):
+                    rows = np.flatnonzero(valid & (sizes == m))
+                    expected = None
+                    if len(rows):
+                        # the valid m-set with the smallest sorted rank list
+                        ranks = np.nonzero(bits[rows])[1].reshape(len(rows), m)
+                        expected = int(rows[np.lexsort(ranks.T[::-1])[0]])
+                    elif valid[sizes < m].any():
+                        # above the minimum, the branch without u_0 is
+                        # searched to the end under the rotation cut
+                        gaps += 1
+                    assert search.search(m) == expected, (k, kind, m)
+        assert gaps
+
+    def test_node_count(self, monkeypatch):
+        # a deterministic work gate: without the rotation cut these two
+        # calls enter _dfs about 100,000 times
+        calls = []
+        dfs = solver._ExactSearch._dfs
+
+        def counting(self, *args):
+            calls.append(1)
+            return dfs(self, *args)
+
+        monkeypatch.setattr(solver._ExactSearch, "_dfs", counting)
+        g = build_petersen(13, 2)
+        assert brute_force_min(g, K.ONE_TWO).minimum == f_one_two(13)
+        with pytest.raises(InfeasibleError):
+            brute_force_min(g, K.ONE_TWO, budget=f_one_two(13) - 1)
+        assert len(calls) <= 50_000
 
 
 class TestSolveResultInvariant:

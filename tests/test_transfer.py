@@ -347,6 +347,24 @@ class TestPeriodicWalk:
             check(*inner, inner_served)
 
     @pytest.mark.parametrize("kind", list(K))
+    @pytest.mark.parametrize("late", [0, 1])
+    def test_suffixes_repeat_at_stretch_end(self, kind, late):
+        # the chain's repeat T_(N+p) = T_N + d falls on the stretch's last
+        # length, or one past it, where it must not be taken
+        chain = transfer._chain(kind)
+        N, p, _ = chain.cycle
+        hi = N + p - late
+        table, _ = chain.power(0)
+        served, cycle = transfer._suffixes(
+            chain, table, lambda L: transfer._ALL_CHOICES, hi + 12, (0, hi, 1)
+        )
+        assert cycle == (None if late else chain.cycle)
+        for length in range(hi + 13):
+            got, offset = served(length)
+            np.testing.assert_array_equal(got + offset, table)
+            table = transfer._column_step(table, transfer._ALL_CHOICES, chain)
+
+    @pytest.mark.parametrize("kind", list(K))
     def test_matches_unskipped_walk(self, kind, monkeypatch):
         # with keys that never repeat, both phases step every column and
         # phase 2 stores its whole backward family
