@@ -7,7 +7,8 @@ is just the pair (n, k) and neighbor queries cost O(1) regardless of n.
 
 Every layer shares one vertex-set representation, two bitmasks (see
 ``VertexSet``); ``Vertex`` objects are built only at the edges: parsing
-a single name, neighbor queries and the derived views of a set.
+a single name, neighbor queries and the derived views of a set.  A set's
+names are parsed as whole arrays, with no Python work per well-formed name.
 
 Two proof-oriented partitions of P(n,2) are exposed as queryable objects:
 
@@ -50,7 +51,9 @@ class Ring(Enum):
     INNER = "v"
 
 
-_VERTEX_RE = re.compile(r"^([uv])(\d+)$")
+_VERTEX_RE = re.compile(r"[uv]\d+")
+# names joined by commas, in ASCII, so each character is one byte of its encoding
+_NAMES_RE = re.compile(rf"{_VERTEX_RE.pattern}(?:,{_VERTEX_RE.pattern})*", re.ASCII)
 
 
 @dataclass(frozen=True, order=False)
@@ -79,16 +82,22 @@ class Vertex:
         return f"Vertex({self.name})"
 
 
+def _check_modulus(n: int) -> None:
+    if n < 1:
+        raise ParameterError(f"n must satisfy n >= 1, got n={n}")
+
+
 def _parse(name: str, n: int) -> tuple[str, int]:
     """The ring letter and the index mod n of a name "u<i>" / "v<i>"."""
-    m = _VERTEX_RE.match(name.strip())
-    if m is None:
+    s = name.strip() if isinstance(name, str) else ""
+    if not _VERTEX_RE.fullmatch(s):
         raise ParameterError(f"vertex name must match u<i> or v<i>, got {name!r}")
-    return m.group(1), int(m.group(2)) % n
+    return s[0], int(s[1:]) % n
 
 
 def parse_vertex(name: str, n: int) -> Vertex:
     """Parse "u<i>" / "v<i>" into a Vertex, reducing the index mod n."""
+    _check_modulus(n)
     letter, index = _parse(name, n)
     return Vertex(Ring(letter), index)
 
@@ -144,8 +153,31 @@ class VertexSet:
 
     @classmethod
     def from_names(cls, names: Iterable[str] | str, n: int) -> "VertexSet":
+        """The named vertices, indices reduced mod n; duplicates allowed.
+
+        A str is split on commas and its blank pieces dropped.  Each name
+        is "u<i>" or "v<i>", i decimal digits, with blanks around it
+        stripped.  The first bad name, or n < 1, raises ParameterError.
+        """
+        _check_modulus(n)
         if isinstance(names, str):
             names = [s for s in names.split(",") if s.strip()]
+        names = list(names)
+        try:
+            text = ",".join(names)
+        except TypeError:  # a name that is not a str, which _parse refuses
+            text = ""
+        # padded or bad names, and i or n past int64, are left to _parse
+        if _NAMES_RE.fullmatch(text) and n < 2**63:
+            raw = np.frombuffer(text.encode(), np.uint8)
+            heads = np.flatnonzero(raw >= ord("u"))  # the letter of each name
+            # one name per item, with at most 18 digits each
+            if heads.size == len(names) and np.diff(heads, append=raw.size + 1).max() <= 20:
+                digits = text.replace("u", "").replace("v", "").split(",")
+                index = np.array(digits, dtype=np.int64) % n
+                bits = np.zeros((2, index.max() + 1), dtype=bool)
+                bits[raw[heads] - ord("u"), index] = True  # u row 0, v row 1
+                return cls(_pack(bits[0]), _pack(bits[1]))
         indices: dict[str, list[int]] = {"u": [], "v": []}
         for name in names:
             letter, index = _parse(name, n)

@@ -182,6 +182,12 @@ class TestCensus:
         assert doc["valid"] is False
         assert doc["violations"]
 
+    def test_bad_name_usage_error(self, capsys):
+        code, out, err = run(capsys, "census", "--n", "5", "--set", "u1,w3")
+        assert code == 2
+        assert out == ""
+        assert "got 'w3'" in err
+
 
 class TestEq1:
     def test_n12_empty(self, capsys):
@@ -307,6 +313,14 @@ PINNED_STDOUT = {
         '{"n": 7, "formula": 5, "dp": 5, "match": true}, '
         '{"n": 8, "formula": 5, "dp": 5, "match": true}, '
         '{"n": 9, "formula": 6, "dp": 6, "match": true}], "all_match": true}\n',
+    # names padded with blanks and an empty piece, as census --set takes them
+    ("census", "--n", "9", "--set", " u1, v1 ,u4,,v4,u7,v7", "--format", "json"):
+        '{"n": 9, "set": ["u1", "u4", "u7", "v1", "v4", "v7"], "valid": true, '
+        '"census": {"x": {"2": 3}, "y": {}}, "inequalities": '
+        '{"eq2": {"ok": true, "lhs": 18, "rhs": 18}, '
+        '"eq3": {"ok": true, "lhs": 6, "rhs": 6}, '
+        '"eq4": {"ok": true, "lhs": 9, "rhs": 9}, '
+        '"eq5": {"ok": true, "lhs": 6, "rhs": 6}}}\n',
 }
 
 

@@ -1,14 +1,17 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from petdom import (
     BlockSign,
+    DominationKind,
     ParameterError,
     Ring,
     Vertex,
     VertexSet,
     build_petersen,
+    dp_min,
+    graph,
     parse_vertex,
 )
 
@@ -189,6 +192,16 @@ class TestTextForms:
 
 
 vertices_below_70 = st.builds(Vertex, st.sampled_from(list(Ring)), st.integers(0, 69))
+plain_names = st.builds("{}{}".format, st.sampled_from("uv"), st.integers(0, 200))
+blanks = st.sampled_from(["", " ", "\t", "\n"])
+# indices of 19 or more digits (some >= 2^63), long zero runs and non-ASCII
+# decimal digits, which int() reads like ASCII ones
+odd_indices = st.one_of(
+    st.integers(0, 200).map(str),
+    st.integers(10**18, 2**70).map(str),
+    st.sampled_from(["0" * 20 + "7", "\u0661", "\u0663\u0667"]),
+)
+odd_names = st.builds("{}{}{}{}".format, blanks, st.sampled_from("uv"), odd_indices, blanks)
 
 
 class TestVertexSetModel:
@@ -222,22 +235,75 @@ class TestVertexSetModel:
         assert hash(T) == hash(S)
 
     @given(
-        names=st.lists(
-            st.builds("{}{}".format, st.sampled_from("uv"), st.integers(0, 200)),
-            max_size=40,
+        pieces=st.one_of(
+            st.lists(plain_names, max_size=40),
+            st.lists(st.one_of(plain_names, odd_names, blanks), max_size=40),
         ),
-        n=st.integers(5, 70),
+        n=st.integers(1, 70),
     )
-    def test_from_names_matches_parsed_vertices(self, names, n):
-        # indices reduced mod n, duplicates and order immaterial
+    @example(pieces=[" u1 ", "", "v\u0661", "u" + "9" * 19, f"v{2**63}", "u3", "u8"], n=5)
+    @example(pieces=["u" + "9" * 19, f"v{2**63}", "u" + "0" * 20 + "7", "v3"], n=5)
+    @example(pieces=["u\u0661", "v\u0663\u0667", "u3"], n=7)
+    @example(pieces=["u3", "v5", "v5"], n=2**64)
+    def test_from_names_matches_parsed_vertices(self, pieces, n):
+        # blanks stripped, blank pieces of a str dropped, indices reduced
+        # mod n, duplicates and order immaterial
+        names = [s for s in pieces if s.strip()]
         S = VertexSet.from_names(names, n)
         assert S == VertexSet.of(parse_vertex(name, n) for name in names)
         assert S.members == frozenset(parse_vertex(name, n) for name in names)
-        assert VertexSet.from_names(",".join(names), n) == S
+        assert VertexSet.from_names(",".join(pieces), n) == S
 
     def test_from_names_rejects_bad_name(self):
         with pytest.raises(ParameterError, match="must match u<i> or v<i>, got 'w3'"):
             VertexSet.from_names(["u1", "w3"], 5)
+
+    # messages recorded before names were parsed as a whole; the first
+    # bad name is the one reported
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            (["u1,v2"], "got 'u1,v2'"),
+            ("w3", "got 'w3'"),
+            ("u", "got 'u'"),
+            ("u-1", "got 'u-1'"),
+            ("u1x", "got 'u1x'"),
+            (["v2", "u", "w3"], "got 'u'"),
+            ("u1, w3 ,x", "got ' w3 '"),
+        ],
+    )
+    def test_from_names_rejection_messages(self, names, message):
+        with pytest.raises(ParameterError) as info:
+            VertexSet.from_names(names, 5)
+        assert str(info.value) == f"vertex name must match u<i> or v<i>, {message}"
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_modulus_below_one_refused(self, n):
+        for call in (
+            lambda: VertexSet.from_names(["u1"], n),
+            lambda: VertexSet.from_names("u1,v2", n),
+            lambda: VertexSet.from_names([], n),
+            lambda: parse_vertex("u1", n),
+        ):
+            with pytest.raises(ParameterError, match=f"n must satisfy n >= 1, got n={n}"):
+                call()
+
+    def test_name_not_str_refused(self):
+        for names, bad in (([1, 2], "1"), (["u1", None], "None"), (["w3", 4], "'w3'")):
+            with pytest.raises(ParameterError, match=f"u<i> or v<i>, got {bad}$"):
+                VertexSet.from_names(names, 7)
+        with pytest.raises(ParameterError, match="u<i> or v<i>, got 1$"):
+            parse_vertex(1, 7)
+
+    def test_witness_names_parsed_whole(self, monkeypatch):
+        n = 10**5
+        S = dp_min(n, DominationKind.ONE_TWO).witness
+        calls = []
+        parse = graph._parse
+        monkeypatch.setattr(graph, "_parse", lambda *args: calls.append(1) or parse(*args))
+        assert VertexSet.from_names(S.names(), n) == S
+        assert VertexSet.from_names(S.text(), n) == S
+        assert calls == []
 
     def test_of_rejects_negative_index(self):
         with pytest.raises(ParameterError, match="vertex u-1 has a negative index"):
