@@ -56,8 +56,8 @@ targets and no forced choices T_L is M^L, the L-th min-plus power of the
 64x64 one-column matrix M (the four choices merged), whatever n is: one
 chain per kind, built once on first use, stores at most 24 tables, and
 the minimum for n is the smallest diagonal entry of M^n (``dp_minima``
-reads it for every n in a range).  Each greedy phase builds its own
-tables with one target per live start interface (below).
+reads it for every n in a range).  Greedy phase 1 reads these tables;
+phase 2 builds its own with one target per live start interface (below).
 
 Live start interfaces.  Each row of the forward table is one start
 interface of the closed tour.  A row whose best closed total under the
@@ -65,8 +65,8 @@ commitments made so far exceeds the minimum is dropped: a further
 commitment only removes tours, so its total can never fall back to the
 minimum, and the test "some row attains the minimum" reads the same
 without it.  In practice one to three rows are left after a few
-columns, so each phase's suffix tables have one column per row live
-when it starts, not 64.
+columns, so phase 2's suffix tables have one column per row live when
+it starts, not 64.
 
 Periodic witness reconstruction.  A greedy walk is a deterministic
 process whose state entering column j is the live rows and the forward
@@ -103,7 +103,7 @@ from typing import Callable, Hashable, NamedTuple, TypeVar
 import numpy as np
 
 from .domination import DominationKind
-from .errors import InfeasibleError, InternalError, ParameterError, SizeLimitError
+from .errors import InfeasibleError, ParameterError, SizeLimitError
 from .graph import VertexSet
 from .solver import SolveMethod, SolveResult
 
@@ -260,9 +260,9 @@ def _closed_minimum(table: np.ndarray, offset: int, n: int, kind: DominationKind
 
 class _Walk(NamedTuple):
     """A greedy walk entering a column: forward[r, t] + base is the
-    cheapest committed prefix from start interface rows[cols[r]] to
-    interface t, with forward's minimum 0, and bit the bit fixed at the
-    column before."""
+    cheapest committed prefix from the start interface of suffix table
+    column cols[r] to interface t, with forward's minimum 0, and bit the
+    bit fixed at the column before."""
 
     forward: np.ndarray
     cols: np.ndarray
@@ -273,31 +273,27 @@ class _Walk(NamedTuple):
 def _greedy_bits(
     m: _Chain,
     minimum: int,
-    rows: np.ndarray,
+    cols: np.ndarray,
     options: Callable[[int], np.ndarray],
     n: int,
-    period: tuple[int, int, int],
+    suffix: _Suffix,
+    cycle: tuple[int, int, int] | None,
+    lo: int,
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Fix one membership bit per column, left to right: set it exactly
     when some closed tour of cost minimum extends the commitments so far.
 
-    rows are the live start interfaces and options(j) holds the choices
-    of column j with the bit set and with it unset; period (lo, hi, P)
-    says options(x) == options(x + P) whenever lo <= x and x + P < hi.
-    Where the suffix tables over rows repeat too, a repeated walk state
-    is skipped ahead by whole periods.  Returns the bits, the start
-    interfaces still live after the last column and (a, b, q): bit x
-    equals bit x + q whenever a <= x and x + q < b.
+    options(j) holds the choices of column j with the bit set and with it
+    unset.  suffix and cycle serve their suffix tables as ``_suffixes``
+    returns them, T_0's columns cols being the live start interfaces;
+    from column lo on, options repeat wherever the tables do, and a
+    repeated walk state there is skipped ahead by whole periods.
+    Returns the bits, the columns of the start interfaces still live
+    after the last column and (a, b, q): bit x equals bit x + q whenever
+    a <= x and x + q < b.
     """
-    lo, hi, P = period
-    cols = np.arange(len(rows))
-    last = np.full((_N_STATES, len(rows)), _INF, dtype=np.float32)
-    last[rows, cols] = 0.0  # T_0[s, r]: no column left, s must be rows[r]
-    suffix, cycle = _suffixes(
-        m, last, lambda L: options(n - 1 - L).ravel(), n - 1, (n - hi, n - lo, P)
-    )
     # walk states repeat where options do and suffix(n - 1 - j) is periodic
-    lo, hi, P = (lo, n - cycle[0], cycle[1]) if cycle else _NO_PERIOD
+    hi, P = (n - cycle[0], cycle[1]) if cycle else _NO_PERIOD[1:]
 
     def step(walk: _Walk, j: int) -> _Walk:
         forward, cols = walk.forward, walk.cols
@@ -326,9 +322,9 @@ def _greedy_bits(
             bits[j] = walk.bit
         return walk
 
-    # F[r, t]: prefix cost from rows[r], the transpose of T_0
+    # F[r, t]: prefix cost from T_0's column cols[r], the transpose of T_0
     walks, start = _until_repeat(
-        run(_Walk(last.T, cols, 0), 0, lo),
+        run(_Walk(suffix(0)[0][:, cols].T, cols, 0), 0, lo),
         lambda walk, i: step(walk, lo + i) if lo + i + P < hi else None,
         lambda walk, i: (i % P, walk.cols.tobytes(), walk.forward.tobytes()),
     )
@@ -342,7 +338,7 @@ def _greedy_bits(
         walk = walk._replace(base=walk.base + periods * (walk.base - walks[start].base))
         skip = (j - q, j + periods * q, q)
         j += periods * q
-    return bits, rows[run(walk, j, n).cols], skip
+    return bits, run(walk, j, n).cols, skip
 
 
 def dp_min(n: int, kind: DominationKind) -> SolveResult:
@@ -361,15 +357,18 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     rows = np.flatnonzero(np.diagonal(table) == minimum - offset)
 
     # phase 1: fix outer memberships greedily, inner choices left free
-    u, rows, u_period = _greedy_bits(m, minimum, rows, lambda j: _OUTER, n, (0, n, 1))
+    u, rows, (a, b, q) = _greedy_bits(
+        m, minimum, rows, lambda j: _OUTER, n, m.power, m.cycle, 0
+    )
     # phase 2: outer memberships frozen, fix inner memberships greedily
-    v, _, _ = _greedy_bits(m, minimum, rows, lambda j: _INNER[u[j]], n, u_period)
-
+    suffix, cycle = _suffixes(
+        m, m.power(0)[0][:, rows], lambda L: _INNER[u[n - 1 - L]].ravel(),
+        n - 1, (n - b, n - a, q),
+    )
+    v, _, _ = _greedy_bits(
+        m, minimum, np.arange(len(rows)), lambda j: _INNER[u[j]], n, suffix, cycle, a
+    )
     witness = VertexSet.from_arrays(u, v)
-    if len(witness) != minimum:
-        raise InternalError(
-            f"reconstructed witness has size {len(witness)}, expected {minimum}"
-        )
     return SolveResult(n, 2, kind, minimum, witness, SolveMethod.TRANSFER_DP)
 
 

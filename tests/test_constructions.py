@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from petdom import (
@@ -16,6 +18,7 @@ from petdom.constructions import (
     construct_one_two_total,
     small_case_set,
 )
+from petdom.cli import main
 
 K = DominationKind
 
@@ -142,3 +145,50 @@ class TestRecipes:
             _validate(9, [1], [1], K.ONE_TWO, 6)
         with pytest.raises(ConstructionError, match="failed validation"):
             _validate(9, [1, 4, 7], [1, 4, 6], K.ONE_TWO, 6)
+
+
+class TestPinned:
+    # sha256 over "{n} {source} {text}" lines, recorded before the recipes
+    # became one residue table: a recipe that stays valid and minimum but
+    # picks other vertices changes `construct` output and fails here
+    @pytest.mark.parametrize(
+        "kind,digest",
+        [
+            (
+                K.ONE_TWO,
+                "9f589fa4b865d4d184320db5fa005da15a30fa45821c96d25325ae3d85e439af",
+            ),
+            (
+                K.ONE_TWO_TOTAL,
+                "d76f5381f390e079e448b5c6fc6517389917f95dbb31c4b0cc377ea0d3eb3320",
+            ),
+        ],
+    )
+    def test_sets_and_sources(self, kind, digest):
+        h = hashlib.sha256()
+        for n in [*range(5, 2001), *range(9990, 10011)]:
+            c = build_construction(n, kind)
+            h.update(f"{n} {c.source.value} {c.vertex_set.text()}\n".encode())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "n,kind,message",
+        [
+            (4, K.ONE_TWO, "construct_one_two requires n >= 5, got n=4"),
+            (4, K.ONE_TWO_TOTAL, "construct_one_two_total requires n >= 5, got n=4"),
+            # the kind is refused before n
+            (4, K.PLAIN, "constructions exist for one-two and one-two-total only, got plain"),
+            (9, K.TOTAL, "constructions exist for one-two and one-two-total only, got total"),
+        ],
+    )
+    def test_refusal_messages(self, n, kind, message):
+        with pytest.raises(ParameterError) as info:
+            build_construction(n, kind)
+        assert str(info.value) == message
+
+    def test_cli_refuses_small_n_total(self, capsys):
+        code = main(["construct", "--n", "4", "--kind", "one-two-total"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "construct_one_two_total requires n >= 5" in captured.err
