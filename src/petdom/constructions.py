@@ -39,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from .domination import DominationKind, counts
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, require_int
 from .formulas import f_one_two, g_one_two_total
 from .graph import VertexSet
 
@@ -161,8 +161,7 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
             f"constructions exist for one-two and one-two-total only, "
             f"got {kind.value}"
         )
-    if n < 5:
-        raise ParameterError(f"construct_{kind.name.lower()} requires n >= 5, got n={n}")
+    n = require_int("n", n, 5, f"construct_{kind.name.lower()}")
     outer, inner, source = _recipe(n, kind)
     U, V = _validate(n, outer, inner, kind, _FORMULAS[kind](n))
     return Construction(n, kind, source, VertexSet.from_arrays(U, V))

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check
+that raises one."""
+
+import numpy as np
 
 
 class PetdomError(Exception):
@@ -44,3 +47,20 @@ class InternalError(PetdomError, RuntimeError):
 class ConstructionError(InternalError):
     """A construction produced a set that failed its own emit-time
     validation.  Internal invariant breach; must never occur."""
+
+
+def require_int(name: str, value, lo: int, caller: str | None = None) -> int:
+    """Return ``value`` as an int, or raise ParameterError.
+
+    Accepts int and numpy integers; refuses bool and everything else.  A
+    value below ``lo`` is refused with "<name> must be >= <lo>, got
+    <value>", or, given ``caller``, with "<caller> requires <name> >=
+    <lo>, got <name>=<value>".
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        if caller is None:
+            raise ParameterError(f"{name} must be >= {lo}, got {value}")
+        raise ParameterError(f"{caller} requires {name} >= {lo}, got {name}={value}")
+    return int(value)

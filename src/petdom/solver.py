@@ -8,11 +8,14 @@ kinds:
   2n <= 26).  A branch is a member mask and the masks of vertices with
   at least 1, 2 and 3 member neighbours.  It is cut when a vertex whose
   neighbourhood is decided lacks a dominator, when a count of 3 is
-  refused, when the picks left cannot reach every vertex still lacking
-  one or outnumber the vertices left, and, by rotational symmetry, at
-  every outer vertex once u_0 is excluded.  The include branch is
-  searched first and in full, so no cut loses the first valid set, the
-  lexicographically smallest;
+  refused, and when the picks left cannot reach every vertex still
+  lacking one or outnumber the vertices left.  By rotational symmetry
+  only sets holding u_0 are searched, and the inner ring is checked
+  directly.  Each size is decided in column order (u_0, v_0, u_1, v_1,
+  ...), where a vertex's neighbourhood is decided soon after the vertex
+  and the cuts act early.  The first feasible size is searched again in
+  canonical order, include branch first and in full, so no cut loses
+  the first valid set, the lexicographically smallest;
 * ``dp_min`` (in :mod:`petdom.transfer`) runs a transfer-matrix dynamic
   program over columns and scales to very large n.
 
@@ -29,11 +32,18 @@ window inequalities together with sum(x) < f(n).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
 from .domination import DominationKind, is_valid
-from .errors import InfeasibleError, InternalError, ParameterError, SizeLimitError
+from .errors import (
+    InfeasibleError,
+    InternalError,
+    ParameterError,
+    SizeLimitError,
+    require_int,
+)
 from .formulas import f_one_two
 from .graph import PetersenGraph, Ring, Vertex, VertexSet
 
@@ -100,16 +110,24 @@ class SolveResult:
 class _ExactSearch:
     """Depth-first search over subsets of exactly m vertices.
 
-    Vertices are decided in canonical rank order (u_0..u_{n-1}, then
-    v_0..v_{n-1}) with the include branch explored first, so the first
-    complete valid set found for a given m is the lexicographically
-    smallest one.  A branch is four int masks over ranks, passed down
-    and never undone: S, its members, and ge1, ge2, ge3, the vertices
-    with at least 1, 2 or 3 members among their neighbours.  Including
-    p with neighbour mask nb sets ge3 |= ge2 & nb, ge2 |= ge1 & nb and
-    ge1 |= nb.  Excluding p moves on to p + 1 in the same call, so
-    ``_dfs`` runs once per search and once per include branch.  With
-    ranks below p decided, a branch is cut when
+    Vertices are decided in a fixed position order, a list of canonical
+    ranks (u_0..u_{n-1} are ranks 0..n-1, v_0..v_{n-1} ranks n..2n-1),
+    with the include branch explored first.  Every order starts with u_0.
+    The masks below are built in that order from ``adj``, the neighbour
+    ranks of each rank, which searches in different orders share.
+    In canonical order (ranks ascending) the first complete valid set
+    found for a given m is the lexicographically smallest one.  In column
+    order (u_0, v_0, u_1, v_1, ...) a vertex's closed neighbourhood is
+    decided about two columns after its own, so the cuts below act early;
+    that order proves sizes infeasible.
+
+    A branch is four int masks over positions, passed down and never
+    undone: S, its members, and ge1, ge2, ge3, the vertices with at least
+    1, 2 or 3 members among their neighbours.  Including p with neighbour
+    mask nb sets ge3 |= ge2 & nb, ge2 |= ge1 & nb and ge1 |= nb.
+    Excluding p moves on to p + 1 in the same call, so ``_dfs`` runs once
+    per include branch.  With positions below p decided, a branch is cut
+    when
 
     * a vertex of fin[p], whose closed neighbourhood lies below p, lacks
       a dominator it needs;
@@ -118,21 +136,23 @@ class _ExactSearch:
       best case);
     * more vertices lack a dominator they need than the picks left can
       reach, at most ``cover`` each;
-    * fewer ranks remain than picks left.
+    * fewer positions remain than picks left.
 
     Once no pick is left, every vertex is checked with the undecided ones
     outside S.
 
     Rotation cut: i -> i + 1 on both rings is an automorphism of P(n,k),
     so if no valid m-set contains u_0, none contains any outer vertex.
-    The branch that includes u_0 is searched first and in full, so the
-    branch that excludes it refuses every other outer vertex: that loses
-    no valid set, and the first one found is unchanged.
+    Every vertex needs a dominator in its closed neighbourhood, and u_i's
+    only inner neighbour is v_i, so the one set left is the inner ring.
+    ``search`` therefore only includes u_0, and falls back to checking
+    the inner ring at m = n.
     """
 
-    def __init__(self, g: PetersenGraph, kind: DominationKind):
-        n = self.n = g.n
-        self.order = 2 * n
+    def __init__(self, adj: list[list[int]], kind: DominationKind, ranks: Sequence[int]):
+        self.order = len(adj)
+        self.n = self.order // 2
+        self.ranks = ranks
         self.full = (1 << self.order) - 1
         # kind.accepts on masks: a vertex passes when it is in ge1 and not
         # in ge3 & cap, or when it is in S & exempt
@@ -142,44 +162,72 @@ class _ExactSearch:
         # dominator (3 neighbors, plus itself unless members also need one)
         self.cover = 3 if kind.covers_members else 4
 
-        def rank(v: Vertex) -> int:
-            return v.index if v.ring is Ring.OUTER else n + v.index
-
+        at = [0] * self.order
+        for p, r in enumerate(ranks):
+            at[r] = p
         self.nb = [0] * self.order
         self.fin = [0] * (self.order + 1)
-        for v in g.vertices():
-            r, nbrs = rank(v), [rank(w) for w in g.neighbors(v)]
-            self.nb[r] = sum(1 << w for w in nbrs)
-            self.fin[max(r, *nbrs) + 1] |= 1 << r
+        for r, nbrs in enumerate(adj):
+            p, nbrs = at[r], [at[w] for w in nbrs]
+            self.nb[p] = sum(1 << w for w in nbrs)
+            self.fin[max(p, *nbrs) + 1] |= 1 << p
         for p in range(self.order):
             self.fin[p + 1] |= self.fin[p]
+        self.inner = [at[r] for r in range(self.n, self.order)]
 
     def search(self, m: int) -> int | None:
-        """Return the bitmask of the lexicographically smallest valid set
-        of size exactly m, or None."""
-        return self._dfs(0, m, 0, 0, 0, 0)
+        """Return the rank mask of the first valid set of size exactly m in
+        this order, or None."""
+        found = None
+        if m:
+            nb = self.nb[0]
+            found = self._dfs(1, m - 1, 1, nb, 0, 0)
+        if found is None and m == self.n:
+            S = ge1 = ge2 = ge3 = 0
+            for p in self.inner:
+                nb = self.nb[p]
+                S, ge1, ge2, ge3 = S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb
+            found = self._dfs(self.order, 0, S, ge1, ge2, ge3)
+        if found is None:
+            return None
+        return sum(1 << r for p, r in enumerate(self.ranks) if found >> p & 1)
 
     def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int) -> int | None:
-        # ranks below p are decided; left more members are to be picked
+        # positions below p are decided; left more members are to be picked
         if not left:
             bad = (self.full & ~ge1 | ge3 & self.cap) & ~(S & self.exempt)
             return None if bad else S
         while True:
-            # members, and ranks from p on at best, may be exempt
+            # members, and positions from p on at best, may be exempt
             maybe = (S | self.full >> p << p) & self.exempt
             if (self.fin[p] & ~ge1 | ge3 & self.cap) & ~maybe:
                 return None
             need = self.full ^ (ge1 | S & self.exempt)
             if need.bit_count() > self.cover * left or left > self.order - p:
                 return None
-            if S & 1 or not 0 < p < self.n:  # the rotation cut
-                nb = self.nb[p]
-                found = self._dfs(
-                    p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb
-                )
-                if found is not None:
-                    return found
+            nb = self.nb[p]
+            found = self._dfs(
+                p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb
+            )
+            if found is not None:
+                return found
             p += 1
+
+
+def _adjacency(g: PetersenGraph) -> list[list[int]]:
+    """The neighbour ranks of each rank, the one walk of g's adjacency
+    that the searches of every position order share."""
+    n = g.n
+
+    def rank(v: Vertex) -> int:
+        return v.index if v.ring is Ring.OUTER else n + v.index
+
+    return [[rank(w) for w in g.neighbors(v)] for v in g.vertices()]
+
+
+def _column_order(n: int) -> list[int]:
+    """Ranks in column order: u_0, v_0, u_1, v_1, ..., u_{n-1}, v_{n-1}."""
+    return [r for i in range(n) for r in (i, n + i)]
 
 
 def brute_force_min(
@@ -187,23 +235,26 @@ def brute_force_min(
 ) -> SolveResult:
     """Exact minimum by cardinality-ordered exhaustive search.
 
-    Limited to 2n <= 26 vertices.  When ``budget`` is given, only sets of
-    at most that cardinality are searched and InfeasibleError is raised
-    if none is valid.
+    Limited to 2n <= 26 vertices.  Each size is decided in column order;
+    only the first feasible size is searched again, in canonical order,
+    for the lexicographically smallest witness.  When ``budget`` is
+    given, only sets of at most that cardinality are searched and
+    InfeasibleError is raised if none is valid.
     """
     order = 2 * g.n
     if order > BRUTE_FORCE_VERTEX_LIMIT:
         raise SizeLimitError(
             f"brute force requires 2n <= {BRUTE_FORCE_VERTEX_LIMIT}, got 2n={order}"
         )
-    if budget is not None and budget < 0:
-        raise ParameterError(f"budget must be >= 0, got {budget}")
-    search = _ExactSearch(g, kind)
-    lower = -(-order // search.cover)
+    if budget is not None:
+        budget = require_int("budget", budget, 0)
+    adj = _adjacency(g)
+    proof = _ExactSearch(adj, kind, _column_order(g.n))
+    lower = -(-order // proof.cover)
     upper = order if budget is None else min(budget, order)
     for m in range(min(lower, upper + 1), upper + 1):
-        mask = search.search(m)
-        if mask is not None:
+        if proof.search(m) is not None:
+            mask = _ExactSearch(adj, kind, range(order)).search(m)
             witness = VertexSet(mask & ((1 << g.n) - 1), mask >> g.n)
             return SolveResult(g.n, g.k, kind, m, witness, SolveMethod.BRUTE_FORCE)
     if budget is not None:

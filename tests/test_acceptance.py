@@ -210,7 +210,7 @@ def test_criterion_8_census_properties():
 
 def test_criterion_9_minimality_floor():
     ok = True
-    for n in range(5, 13):
+    for n in range(5, 14):
         g = build_petersen(n, 2)
         for kind, formula in (
             (K.ONE_TWO, f_one_two),
@@ -221,14 +221,14 @@ def test_criterion_9_minimality_floor():
     report(
         9,
         ok,
-        "no valid set one below f(n) / g(n) exists for 5..12 (brute force "
+        "no valid set one below f(n) / g(n) exists for 5..13 (brute force "
         "with budget reports infeasible)",
     )
 
 
 def test_criterion_10_cross_solver_equivalence():
     disagreements = []
-    for n in range(5, 13):
+    for n in range(5, 14):
         g = build_petersen(n, 2)
         for kind in K:
             b = brute_force_min(g, kind).minimum
@@ -239,6 +239,6 @@ def test_criterion_10_cross_solver_equivalence():
     report(
         10,
         ok,
-        f"brute force and dp agree on minima for all kinds, 5..12 "
+        f"brute force and dp agree on minima for all kinds, 5..13 "
         f"({len(disagreements)} disagreements)",
     )

@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from petdom import (
@@ -179,12 +180,21 @@ class TestPinned:
             # the kind is refused before n
             (4, K.PLAIN, "constructions exist for one-two and one-two-total only, got plain"),
             (9, K.TOTAL, "constructions exist for one-two and one-two-total only, got total"),
+            (20.5, K.ONE_TWO, "n must be an integer, got 20.5"),
+            (13.0, K.ONE_TWO_TOTAL, "n must be an integer, got 13.0"),
+            (True, K.ONE_TWO, "n must be an integer, got True"),
+            ("13", K.ONE_TWO, "n must be an integer, got '13'"),
         ],
     )
     def test_refusal_messages(self, n, kind, message):
         with pytest.raises(ParameterError) as info:
             build_construction(n, kind)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", [K.ONE_TWO, K.ONE_TWO_TOTAL])
+    def test_numpy_integer_n(self, kind):
+        c = build_construction(np.int64(13), kind)
+        assert c == build_construction(13, kind) and type(c.n) is int
 
     def test_cli_refuses_small_n_total(self, capsys):
         code = main(["construct", "--n", "4", "--kind", "one-two-total"])

@@ -58,8 +58,19 @@ class TestBruteForce:
         assert brute_force_min(g, K.ONE_TWO, budget=4).minimum == 4
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=r"^budget must be >= 0, got -1$"):
             brute_force_min(build_petersen(6, 2), K.ONE_TWO, budget=-1)
+
+    @pytest.mark.parametrize("budget", [True, False, 3.5, 4.0, "4"])
+    def test_non_integer_budget_rejected(self, budget):
+        with pytest.raises(ParameterError, match=r"^budget must be an integer, got "):
+            brute_force_min(build_petersen(6, 2), K.ONE_TWO, budget=budget)
+
+    def test_numpy_integer_budget(self):
+        g = build_petersen(6, 2)
+        assert brute_force_min(g, K.ONE_TWO, budget=np.int64(4)).minimum == 4
+        with pytest.raises(InfeasibleError, match=r"size <= 3 exists"):
+            brute_force_min(g, K.ONE_TWO, budget=np.uint8(3))
 
     def test_witness_is_lex_smallest(self):
         # exhaustive oracle over all 4-subsets of P(5,2)
@@ -95,10 +106,12 @@ class TestExactSearch:
         sizes = bits.sum(axis=1)
         gaps = 0
         for k in range(1, (n + 1) // 2):
+            adj = solver._adjacency(build_petersen(n, k))
             cu, cv = counts(n, k, outer, inner)
             for kind in K:
                 valid = (kind.accepts(cu, outer) & kind.accepts(cv, inner)).all(axis=0)
-                search = solver._ExactSearch(build_petersen(n, k), kind)
+                canonical = solver._ExactSearch(adj, kind, range(2 * n))
+                by_column = solver._ExactSearch(adj, kind, solver._column_order(n))
                 for m in range(2 * n + 1):
                     rows = np.flatnonzero(valid & (sizes == m))
                     expected = None
@@ -107,15 +120,41 @@ class TestExactSearch:
                         ranks = np.nonzero(bits[rows])[1].reshape(len(rows), m)
                         expected = int(rows[np.lexsort(ranks.T[::-1])[0]])
                     elif valid[sizes < m].any():
-                        # above the minimum, the branch without u_0 is
-                        # searched to the end under the rotation cut
+                        # above the minimum, the search that includes u_0
+                        # runs to the end without a find
                         gaps += 1
-                    assert search.search(m) == expected, (k, kind, m)
+                    assert canonical.search(m) == expected, (k, kind, m)
+                    found = by_column.search(m)
+                    if expected is None:
+                        assert found is None, (k, kind, m)
+                    else:
+                        assert valid[found] and sizes[found] == m, (k, kind, m)
         assert gaps
 
+    def test_inner_ring_fallback(self):
+        # every graph tested here has a valid n-set holding u_0, so the
+        # fallback only runs when the search through u_0 is made to fail:
+        # then the whole inner ring is found at m = n, and nothing else
+        class WithoutU0(solver._ExactSearch):
+            def _dfs(self, p, *state):
+                return None if p == 1 else super()._dfs(p, *state)
+
+        n = 7
+        for k in (1, 2, 3):
+            adj = solver._adjacency(build_petersen(n, k))
+            for kind in K:
+                for ranks in (range(2 * n), solver._column_order(n)):
+                    search = WithoutU0(adj, kind, ranks)
+                    assert search.search(n) == ((1 << n) - 1) << n
+                    assert search.search(n - 1) is None
+                    assert search.search(n + 1) is None
+
     def test_node_count(self, monkeypatch):
-        # a deterministic work gate: without the rotation cut these two
-        # calls enter _dfs about 100,000 times
+        # a deterministic work gate: the column-order proofs of m = 7 and
+        # m = 8 and the canonical witness search at m = 9 enter _dfs 7,935
+        # times (a canonical search of every size took about 39,000 calls,
+        # and about 100,000 without the rotation cut); the budget call alone
+        # is proof only and takes 1,912
         calls = []
         dfs = solver._ExactSearch._dfs
 
@@ -126,9 +165,11 @@ class TestExactSearch:
         monkeypatch.setattr(solver._ExactSearch, "_dfs", counting)
         g = build_petersen(13, 2)
         assert brute_force_min(g, K.ONE_TWO).minimum == f_one_two(13)
+        plain = len(calls)
         with pytest.raises(InfeasibleError):
             brute_force_min(g, K.ONE_TWO, budget=f_one_two(13) - 1)
-        assert len(calls) <= 50_000
+        assert len(calls) - plain <= 2_200
+        assert len(calls) <= 9_000
 
 
 class TestSolveResultInvariant:
