@@ -108,8 +108,7 @@ class Construction:
 
 def small_case_set(n: int) -> VertexSet:
     """The tabulated minimum [1,2]-dominating set for 5 <= n <= 11."""
-    if n not in _SMALL_CASES:
-        raise ParameterError(f"small_case_set requires 5 <= n <= 11, got n={n}")
+    n = require_int("n", n, 5, 11, "small_case_set")
     U, V = _validate(n, *_SMALL_CASES[n], DominationKind.ONE_TWO, f_one_two(n))
     return VertexSet.from_arrays(U, V)
 
@@ -161,7 +160,7 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
             f"constructions exist for one-two and one-two-total only, "
             f"got {kind.value}"
         )
-    n = require_int("n", n, 5, f"construct_{kind.name.lower()}")
+    n = require_int("n", n, 5, caller=f"construct_{kind.name.lower()}")
     outer, inner, source = _recipe(n, kind)
     U, V = _validate(n, outer, inner, kind, _FORMULAS[kind](n))
     return Construction(n, kind, source, VertexSet.from_arrays(U, V))

@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CensusError, ClassificationImpossibleError, ParameterError
+from .errors import CensusError, ClassificationImpossibleError, ParameterError, require_int
 from .graph import Block, PetersenGraph, Ring, Vertex, VertexSet
 
 __all__ = [
@@ -369,6 +369,7 @@ class CensusChecks:
 
 def census_inequalities(c: ComponentCensus, n: int, s: int) -> CensusChecks:
     """Evaluate the four counting checks for a census of P(n,2)."""
+    n, s = require_int("n", n), require_int("s", s)
     lhs2 = sum((2 * l + 2) * cnt for l, cnt in c.x.items()) + sum(
         2 * l * cnt for l, cnt in c.y.items()
     )

@@ -12,7 +12,7 @@ class ParameterError(PetdomError, ValueError):
     """A precondition on an argument was violated.
 
     The message always names the violated bound (e.g. "k must satisfy
-    1 <= k < n/2, got k=3 for n=5").
+    k < n/2, got k=3 for n=5").
     """
 
 
@@ -49,18 +49,25 @@ class ConstructionError(InternalError):
     validation.  Internal invariant breach; must never occur."""
 
 
-def require_int(name: str, value, lo: int, caller: str | None = None) -> int:
-    """Return ``value`` as an int, or raise ParameterError.
+def require_int(
+    name: str, value, lo: int | None = None, hi: int | None = None,
+    caller: str | None = None,
+) -> int:
+    """Return ``value`` as a Python int, or raise ParameterError.
 
-    Accepts int and numpy integers; refuses bool and everything else.  A
-    value below ``lo`` is refused with "<name> must be >= <lo>, got
-    <value>", or, given ``caller``, with "<caller> requires <name> >=
-    <lo>, got <name>=<value>".
+    The one check of every integer parameter of the package.  Accepts int
+    and numpy integers; refuses bool and everything else.  Given ``lo``
+    (and optionally ``hi``), a value outside the bound is refused with
+    "<name> must satisfy <bound>, got <name>=<value>", or, given
+    ``caller``, "<caller> requires <bound>, got <name>=<value>", where
+    <bound> is "<name> >= <lo>" or "<lo> <= <name> <= <hi>".
     """
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-    if value < lo:
-        if caller is None:
-            raise ParameterError(f"{name} must be >= {lo}, got {value}")
-        raise ParameterError(f"{caller} requires {name} >= {lo}, got {name}={value}")
-    return int(value)
+    if type(value) is not int:  # the common case skips the slower checks
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if lo is not None and (value < lo or hi is not None and value > hi):
+        bound = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
+        head = f"{name} must satisfy" if caller is None else f"{caller} requires"
+        raise ParameterError(f"{head} {bound}, got {name}={value}")
+    return value

@@ -11,14 +11,9 @@ The [1,2] formulas are defined for n >= 5 and are rejected below that
 instead of extrapolating.
 """
 
-from .errors import ParameterError
+from .errors import require_int
 
 __all__ = ["f_one_two", "g_one_two_total", "gamma_ref", "gamma_t_ref"]
-
-
-def _require(n: int, bound: int) -> None:
-    if n < bound:
-        raise ParameterError(f"n must satisfy n >= {bound}, got n={n}")
 
 
 def f_one_two(n: int) -> int:
@@ -27,7 +22,7 @@ def f_one_two(n: int) -> int:
     2n/3 when n = 0,3 (mod 6); 2*floor(n/3)+1 when n = 1 (mod 6);
     2*floor(n/3)+2 otherwise.  Satisfies f(n) = f(n-6) + 4 for n >= 11.
     """
-    _require(n, 5)
+    n = require_int("n", n, 5)
     r = n % 6
     if r in (0, 3):
         return 2 * n // 3
@@ -42,7 +37,7 @@ def g_one_two_total(n: int) -> int:
     5 when n = 5; 2n/3 when n = 0,3 (mod 6); 2*floor(n/3)+2 otherwise.
     Equals f_one_two(n) except when n = 5 or n = 1 (mod 6).
     """
-    _require(n, 5)
+    n = require_int("n", n, 5)
     if n == 5:
         return 5
     r = n % 6
@@ -53,11 +48,11 @@ def g_one_two_total(n: int) -> int:
 
 def gamma_ref(n: int) -> int:
     """Domination number of P(n,2): ceil(3n/5)."""
-    _require(n, 3)
+    n = require_int("n", n, 3)
     return -(-3 * n // 5)
 
 
 def gamma_t_ref(n: int) -> int:
     """Total domination number of P(n,2): 2*ceil(n/3)."""
-    _require(n, 3)
+    n = require_int("n", n, 3)
     return 2 * (-(-n // 3))

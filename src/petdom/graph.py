@@ -29,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 
 __all__ = [
     "Ring",
@@ -52,8 +52,9 @@ class Ring(Enum):
 
 
 _VERTEX_RE = re.compile(r"[uv]\d+")
-# names joined by commas, in ASCII, so each character is one byte of its encoding
-_NAMES_RE = re.compile(rf"{_VERTEX_RE.pattern}(?:,{_VERTEX_RE.pattern})*", re.ASCII)
+# names joined by commas, in ASCII, so each character is one byte of its encoding;
+# the possessive repeat keeps no backtracking state per name
+_NAMES_RE = re.compile(rf"{_VERTEX_RE.pattern}(?:,{_VERTEX_RE.pattern})*+", re.ASCII)
 
 
 @dataclass(frozen=True, order=False)
@@ -82,11 +83,6 @@ class Vertex:
         return f"Vertex({self.name})"
 
 
-def _check_modulus(n: int) -> None:
-    if n < 1:
-        raise ParameterError(f"n must satisfy n >= 1, got n={n}")
-
-
 def _parse(name: str, n: int) -> tuple[str, int]:
     """The ring letter and the index mod n of a name "u<i>" / "v<i>"."""
     s = name.strip() if isinstance(name, str) else ""
@@ -97,8 +93,7 @@ def _parse(name: str, n: int) -> tuple[str, int]:
 
 def parse_vertex(name: str, n: int) -> Vertex:
     """Parse "u<i>" / "v<i>" into a Vertex, reducing the index mod n."""
-    _check_modulus(n)
-    letter, index = _parse(name, n)
+    letter, index = _parse(name, require_int("n", n, 1))
     return Vertex(Ring(letter), index)
 
 
@@ -159,25 +154,28 @@ class VertexSet:
         is "u<i>" or "v<i>", i decimal digits, with blanks around it
         stripped.  The first bad name, or n < 1, raises ParameterError.
         """
-        _check_modulus(n)
-        if isinstance(names, str):
-            names = [s for s in names.split(",") if s.strip()]
-        names = list(names)
-        try:
-            text = ",".join(names)
-        except TypeError:  # a name that is not a str, which _parse refuses
-            text = ""
+        n = require_int("n", n, 1)
+        text = names  # a str is matched whole and split only on the slow path
+        if not isinstance(names, str):
+            names = list(names)
+            try:
+                text = ",".join(names)
+            except TypeError:  # a name that is not a str, which _parse refuses
+                text = ""
         # padded or bad names, and i or n past int64, are left to _parse
         if _NAMES_RE.fullmatch(text) and n < 2**63:
             raw = np.frombuffer(text.encode(), np.uint8)
             heads = np.flatnonzero(raw >= ord("u"))  # the letter of each name
-            # one name per item, with at most 18 digits each
-            if heads.size == len(names) and np.diff(heads, append=raw.size + 1).max() <= 20:
+            # one name per list item, with at most 18 digits each
+            per_item = isinstance(names, str) or heads.size == len(names)
+            if per_item and np.diff(heads, append=raw.size + 1).max() <= 20:
                 digits = text.replace("u", "").replace("v", "").split(",")
                 index = np.array(digits, dtype=np.int64) % n
                 bits = np.zeros((2, index.max() + 1), dtype=bool)
                 bits[raw[heads] - ord("u"), index] = True  # u row 0, v row 1
                 return cls(_pack(bits[0]), _pack(bits[1]))
+        if isinstance(names, str):
+            names = [s for s in names.split(",") if s.strip()]
         indices: dict[str, list[int]] = {"u": [], "v": []}
         for name in names:
             letter, index = _parse(name, n)
@@ -192,6 +190,7 @@ class VertexSet:
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Length-n uint8 membership arrays (outer, inner) of S; raises
         ParameterError naming the first member with index >= n."""
+        n = require_int("n", n, 0)
         for ring, mask in ((Ring.OUTER, self.outer), (Ring.INNER, self.inner)):
             if mask >> n:
                 v = Vertex(ring, n + _indices(mask >> n)[0])
@@ -285,10 +284,9 @@ class PetersenGraph:
     k: int = 2
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ParameterError(f"n must satisfy n >= 3, got n={self.n}")
-        if not 1 <= self.k:
-            raise ParameterError(f"k must satisfy k >= 1, got k={self.k}")
+        # stored as Python ints, whatever integer type was passed
+        object.__setattr__(self, "n", require_int("n", self.n, 3))
+        object.__setattr__(self, "k", require_int("k", self.k, 1))
         if not 2 * self.k < self.n:
             raise ParameterError(
                 f"k must satisfy k < n/2, got k={self.k} for n={self.n}"
@@ -305,10 +303,10 @@ class PetersenGraph:
         return 3 * self.n
 
     def outer(self, i: int) -> Vertex:
-        return Vertex(Ring.OUTER, i % self.n)
+        return Vertex(Ring.OUTER, require_int("i", i) % self.n)
 
     def inner(self, i: int) -> Vertex:
-        return Vertex(Ring.INNER, i % self.n)
+        return Vertex(Ring.INNER, require_int("i", i) % self.n)
 
     def vertices(self) -> Iterator[Vertex]:
         """All 2n vertices in canonical order."""
@@ -352,11 +350,9 @@ class PetersenGraph:
             raise ParameterError(f"{what} requires k = 2, got k={self.k}")
 
     def block_at(self, i: int) -> Block:
-        """The block centered at column i (reduced mod n); needs k=2, n>=5."""
+        """The block centered at column i (reduced mod n); needs k=2."""
         self._require_k2("block_at")
-        if self.n < 5:
-            raise ParameterError(f"block_at requires n >= 5, got n={self.n}")
-        i %= self.n
+        i = require_int("i", i) % self.n
         cols = [(i - 1) % self.n, i, (i + 1) % self.n]
         odd = sum(c % 2 for c in cols)
         sign = BlockSign.POSITIVE if odd == 2 else BlockSign.NEGATIVE
@@ -374,13 +370,12 @@ class PetersenGraph:
         column.  When 3 | n this is the non-overlapping tiling in which
         each block's right neighbor is the next one; otherwise the last
         window wraps past the first."""
-        count = -(-self.n // 3)
-        for t in range(count):
-            yield self.block_at(start + 3 * t)
+        start = require_int("start", start)
+        return (self.block_at(start + 3 * t) for t in range(-(-self.n // 3)))
 
     def pair_at(self, i: int) -> Pair:
         """The pair {u_i, v_i}; the index is reduced mod n."""
-        i %= self.n
+        i = require_int("i", i) % self.n
         return Pair(i, Vertex(Ring.OUTER, i), Vertex(Ring.INNER, i))
 
     def pairs(self) -> Iterator[Pair]:

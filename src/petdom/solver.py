@@ -305,6 +305,7 @@ class Eq1Check:
 
 
 def check_eq1(x: PairProfile, n: int) -> Eq1Check:
+    n = require_int("n", n)  # f_one_two below refuses n < 5
     if len(x) != n:
         raise ParameterError(f"profile length {len(x)} does not match n={n}")
     vals = x.values
@@ -324,8 +325,7 @@ def enumerate_eq1(n: int) -> list[PairProfile]:
     sum; cyclic windows are validated at closure.  Guarded to
     5 <= n <= 20.
     """
-    if not 5 <= n <= 20:
-        raise ParameterError(f"enumerate_eq1 requires 5 <= n <= 20, got n={n}")
+    n = require_int("n", n, 5, 20, "enumerate_eq1")
     target = f_one_two(n)
 
     # min_rest[k][a][b]: minimal total of k further entries when the two

@@ -103,7 +103,7 @@ from typing import Callable, Hashable, NamedTuple, TypeVar
 import numpy as np
 
 from .domination import DominationKind
-from .errors import InfeasibleError, ParameterError, SizeLimitError
+from .errors import InfeasibleError, ParameterError, SizeLimitError, require_int
 from .graph import VertexSet
 from .solver import SolveMethod, SolveResult
 
@@ -348,8 +348,7 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     the witness is the lexicographically smallest minimum set under the
     canonical vertex order.
     """
-    if n < 5:
-        raise ParameterError(f"dp_min requires n >= 5, got n={n}")
+    n = require_int("n", n, 5, caller="dp_min")
     _check_size(n)
     m = _chain(kind)
     table, offset = m.power(n)
@@ -378,8 +377,8 @@ def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:
     Equal to ``[dp_min(n, kind).minimum for n in range(lo, hi + 1)]``,
     read off the kind's cached chain of free suffix tables (see above).
     """
-    if lo < 5:
-        raise ParameterError(f"dp_minima requires lo >= 5, got lo={lo}")
+    lo = require_int("lo", lo, 5, caller="dp_minima")
+    hi = require_int("hi", hi)
     if lo > hi:
         raise ParameterError(f"dp_minima requires lo <= hi, got lo={lo}, hi={hi}")
     _check_size(hi - lo + 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from petdom import (
     graph,
     parse_vertex,
 )
+from petdom.constructions import construct_one_two
 
 
 def names(vertices):
@@ -304,6 +307,30 @@ class TestVertexSetModel:
         assert VertexSet.from_names(S.names(), n) == S
         assert VertexSet.from_names(S.text(), n) == S
         assert calls == []
+
+    @staticmethod
+    def _peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_str_form_no_larger_than_list_form(self):
+        # 66,668 names: the [1,2] witness at n = 10^5; the str is matched
+        # whole, not split into a list of names first
+        n = 10**5
+        S = construct_one_two(n)
+        names, text = S.names(), S.text()
+        assert len(names) == 66_668
+        text_peak = self._peak(lambda: VertexSet.from_names(text, n))
+        assert text_peak <= self._peak(lambda: VertexSet.from_names(names, n))
+
+    def test_names_match_keeps_no_state_per_name(self):
+        # a backtracking repeat saves about 130 bytes per name (8 MiB here)
+        text = construct_one_two(10**5).text()
+        assert self._peak(lambda: graph._NAMES_RE.fullmatch(text)) < 64 * 2**10
 
     def test_of_rejects_negative_index(self):
         with pytest.raises(ParameterError, match="vertex u-1 has a negative index"):

@@ -58,7 +58,7 @@ class TestBruteForce:
         assert brute_force_min(g, K.ONE_TWO, budget=4).minimum == 4
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(ParameterError, match=r"^budget must be >= 0, got -1$"):
+        with pytest.raises(ParameterError, match=r"^budget must satisfy budget >= 0, got budget=-1$"):
             brute_force_min(build_petersen(6, 2), K.ONE_TWO, budget=-1)
 
     @pytest.mark.parametrize("budget", [True, False, 3.5, 4.0, "4"])

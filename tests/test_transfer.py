@@ -394,6 +394,35 @@ class TestPeriodicWalk:
         for n, witness in expected.items():
             assert dp_min(n, kind).witness == witness, n
 
+    # phase 1's repeat walk may step column j only while the suffix table
+    # read a period later, T_(n-1-j-P), is in the chain's periodic range,
+    # n - 1 - j - P >= N; at these n it finds no repeat and runs to that bound
+    @pytest.mark.parametrize(
+        "kind,n", [(K.PLAIN, 23), (K.TOTAL, 22), (K.ONE_TWO, 19), (K.ONE_TWO_TOTAL, 22)]
+    )
+    def test_phase1_walk_stops_at_its_bound(self, kind, n, monkeypatch):
+        N, P, _ = transfer._chain(kind).cycle
+        walks = []
+        until_repeat = transfer._until_repeat
+
+        def recording(first, step, key):
+            if not isinstance(first, transfer._Walk):
+                return until_repeat(first, step, key)
+            walks.append(columns := [])
+
+            def stepping(walk, i):
+                state = step(walk, i)
+                if state is not None:
+                    columns.append(i)
+                return state
+
+            return until_repeat(first, stepping, key)
+
+        monkeypatch.setattr(transfer, "_until_repeat", recording)
+        dp_min(n, kind)
+        phase1 = walks[0]  # it starts at column 0, so step i is column i
+        assert min(n - 1 - j - P for j in phase1) == N
+
 
 class TestIntegerMinimum:
     @pytest.mark.parametrize("kind", list(K))
