@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -330,3 +331,26 @@ class TestDeterminism:
         _, first, _ = run(capsys, *argv)
         _, second, _ = run(capsys, *argv)
         assert first == second == PINNED_STDOUT[argv]
+
+
+# sha256 of the whole stdout, recorded before the minima were read from
+# the chain's closed-tour table
+STDOUT_SHA256 = {
+    ("table", "--from", "5", "--to", "400", "--format", "csv"):
+        "9cd4bc0a065d472ddcd513b484b6a463e7effcdf63c1faffde800b705f4b6a02",
+    ("verify", "--kind", "plain", "--from", "5", "--to", "200", "--format", "json"):
+        "84ac657c84baa0224463015f0381b1959a802f2d4e800b1f9877963cb9606c5c",
+    ("verify", "--kind", "total", "--from", "5", "--to", "200", "--format", "json"):
+        "6df69e0dca6548a13901073f8f3dd3b4127d22c043fc1939574ef53a0355977d",
+    ("verify", "--kind", "one-two", "--from", "5", "--to", "200", "--format", "json"):
+        "2d02a849dd7be3e945c325c3e2329815f25122b23169905afc7e42706fb5e639",
+    ("verify", "--kind", "one-two-total", "--from", "5", "--to", "200", "--format", "json"):
+        "b07f784f5ef871f99a2b3d3dbd007cb7ea4d9553e32efed3e6da95c28a564cf6",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_long_range_stdout_pinned(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]

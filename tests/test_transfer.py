@@ -112,6 +112,21 @@ class TestWitness:
         digest = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
         assert digest == self.RANGE_SHA256[lo, hi, kind]
 
+    # sha256 of "\n\n".join of witness.text() over n = 5..60, 997 and 9997,
+    # recorded before the minima were read from the closed-tour table
+    TEXT_SHA256 = {
+        K.PLAIN: "5b51caf89b4aaa6dc338aa21f6a65638634b3a7792129d7d37d25756a45eeb57",
+        K.TOTAL: "96dbc5873db56cb5d2c7db4ba67923fee7acad41591cf1109308e20248ef5fbc",
+        K.ONE_TWO: "a1a67f0dbde6486430c50ac06509675b3ace92206dc8de70c955bf7634d844f1",
+        K.ONE_TWO_TOTAL: "c748638b882b63d3554c207498c4669ecb8d53da17a81910e5e3dc82e476456b",
+    }
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_witness_texts_pinned(self, kind):
+        texts = [dp_min(n, kind).witness.text() for n in [*range(5, 61), 997, 9997]]
+        digest = hashlib.sha256("\n\n".join(texts).encode()).hexdigest()
+        assert digest == self.TEXT_SHA256[kind]
+
     @pytest.mark.parametrize("kind", list(K))
     def test_tracemalloc_peak_at_2000(self, kind, monkeypatch):
         # includes building the chain; n + 1 stored 64x64 float32 tables
