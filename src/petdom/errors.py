@@ -49,6 +49,11 @@ class ConstructionError(InternalError):
     validation.  Internal invariant breach; must never occur."""
 
 
+def is_int(value) -> bool:
+    """True for int and numpy integers; False for bool and everything else."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def require_int(
     name: str, value, lo: int | None = None, hi: int | None = None,
     caller: str | None = None,
@@ -63,7 +68,7 @@ def require_int(
     <bound> is "<name> >= <lo>" or "<lo> <= <name> <= <hi>".
     """
     if type(value) is not int:  # the common case skips the slower checks
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not is_int(value):
             raise ParameterError(f"{name} must be an integer, got {value!r}")
         value = int(value)
     if lo is not None and (value < lo or hi is not None and value > hi):

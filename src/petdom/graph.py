@@ -136,6 +136,10 @@ class VertexSet:
     outer: int = 0
     inner: int = 0
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "outer", require_int("outer", self.outer, 0))
+        object.__setattr__(self, "inner", require_int("inner", self.inner, 0))
+
     @classmethod
     def of(cls, vertices: Iterable[Vertex]) -> "VertexSet":
         # indices are gathered per ring and each ring's mask packed once

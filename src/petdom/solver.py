@@ -42,6 +42,7 @@ from .errors import (
     InternalError,
     ParameterError,
     SizeLimitError,
+    is_int,
     require_int,
 )
 from .formulas import f_one_two
@@ -309,7 +310,7 @@ def check_eq1(x: PairProfile, n: int) -> Eq1Check:
     if len(x) != n:
         raise ParameterError(f"profile length {len(x)} does not match n={n}")
     vals = x.values
-    bounds_ok = all(0 <= v <= 2 for v in vals)
+    bounds_ok = all(is_int(v) and 0 <= v <= 2 for v in vals)
     window_ok = all(
         vals[i] + vals[(i + 1) % n] + vals[(i + 2) % n] >= 2 for i in range(n)
     )

@@ -54,10 +54,15 @@ stretch, so each later T_L is a stored table plus an int shift, and the
 few tables past the stretch are stepped from its last one.  With all 64
 targets and no forced choices T_L is M^L, the L-th min-plus power of the
 64x64 one-column matrix M (the four choices merged), whatever n is: one
-chain per kind, built once on first use, stores at most 24 tables, and
-the minimum for n is the smallest diagonal entry of M^n (``dp_minima``
-reads it for every n in a range).  Greedy phase 1 reads these tables;
-phase 2 builds its own with one target per live start interface (below).
+chain per kind, built once on first use, stores at most 24 tables.
+Greedy phase 1 reads these tables; phase 2 builds its own with one
+target per live start interface (below).
+
+Closed tours.  The minimum for n is the smallest diagonal entry of M^n,
+and the start interfaces of the walk below are the rows that attain it.
+The chain reads both off its N + p stored tables once, in one pass; for
+n >= N they are those of L = N + (n - N) mod p, the minimum plus
+d * floor((n - N) / p), so no caller does array work per n.
 
 Live start interfaces.  Each row of the forward table is one start
 interface of the closed tour.  A row whose best closed total under the
@@ -88,8 +93,8 @@ the bit arrays, the witness and its validation are O(n).
 
 Size bound.  Table entries are float32 but only ever hold costs of a
 bounded number of columns (all n only when n is too short to show a
-period); offsets, bases and minima are Python ints, so the minimum,
-int(smallest diagonal entry) + offset, is exact for every n.  Memory
+period); offsets, bases and minima are Python ints, so the minimum, a
+stored closed-tour int plus d per period, is exact for every n.  Memory
 grows with n: ``dp_min``'s bits, witness and validation are O(n) and
 ``dp_minima`` returns one int per n.  Both refuse to materialise more
 than 2^23 columns (n, or hi - lo + 1) with ``SizeLimitError`` before
@@ -160,11 +165,12 @@ class _Chain:
     cost[c, s, 0] its cost a + b, or INF where the kind refuses it;
     pre[c, t] lists the four states s with succ[c, s] == t, or none, and
     pre_cost[c, t] their costs (INF where none is feasible).  Built whole:
-    power(L) = (table, offset) with M^L = table + offset, and
-    cycle = (N, p, d) as described above.
+    power(L) = (table, offset) with M^L = table + offset, cycle = (N, p, d)
+    and tours[L] = (minimum or None, rows) for L < N + p (see above).
     """
 
     def __init__(self, kind: DominationKind) -> None:
+        self.kind = kind
         self.succ = np.empty((4, _N_STATES), dtype=np.int64)
         self.cost = np.empty((4, _N_STATES, 1), dtype=np.float32)
         self.pre = np.zeros((4, _N_STATES, 4), dtype=np.int64)
@@ -185,6 +191,23 @@ class _Chain:
         self.power, self.cycle = _suffixes(
             self, identity, lambda L: _ALL_CHOICES, np.inf, (0, np.inf, 1)
         )
+        N, p, _ = self.cycle
+        stored = np.stack([self.power(L)[0] for L in range(N + p)])
+        diagonals = np.diagonal(stored, axis1=1, axis2=2)
+        lows = diagonals.min(axis=1, keepdims=True)
+        self.tours = [
+            (int(low) if low < np.inf else None, live.nonzero()[0])
+            for low, live in zip(lows.ravel().tolist(), diagonals == lows)
+        ]
+
+    def closed(self, n: int) -> tuple[int, np.ndarray]:
+        """The minimum of n columns and the start interfaces attaining it."""
+        N, p, d = self.cycle
+        periods, rest = divmod(n - N, p) if n >= N else (0, n - N)
+        low, rows = self.tours[N + rest]
+        if low is None:
+            raise InfeasibleError(f"no valid {self.kind.value} set exists in P({n},2)")
+        return low + d * periods, rows
 
 
 _CHAINS: dict[DominationKind, _Chain] = {}
@@ -248,14 +271,6 @@ def _suffixes(
             head, lambda table, i: step(table, hi + i), lambda _, i: i
         )
     return suffix, (start, period, d)
-
-
-def _closed_minimum(table: np.ndarray, offset: int, n: int, kind: DominationKind) -> int:
-    """Smallest closed-tour cost (diagonal entry) of an n-column table."""
-    low = np.diagonal(table).min()
-    if not np.isfinite(low):
-        raise InfeasibleError(f"no valid {kind.value} set exists in P({n},2)")
-    return int(low) + offset
 
 
 class _Walk(NamedTuple):
@@ -351,9 +366,7 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     n = require_int("n", n, 5, caller="dp_min")
     _check_size(n)
     m = _chain(kind)
-    table, offset = m.power(n)
-    minimum = _closed_minimum(table, offset, n, kind)
-    rows = np.flatnonzero(np.diagonal(table) == minimum - offset)
+    minimum, rows = m.closed(n)
 
     # phase 1: fix outer memberships greedily, inner choices left free
     u, rows, (a, b, q) = _greedy_bits(
@@ -375,7 +388,7 @@ def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:
     """Exact minimum of the given kind for every n in lo..hi, in order.
 
     Equal to ``[dp_min(n, kind).minimum for n in range(lo, hi + 1)]``,
-    read off the kind's cached chain of free suffix tables (see above).
+    read off the kind's cached closed-tour table (see above).
     """
     lo = require_int("lo", lo, 5, caller="dp_minima")
     hi = require_int("hi", hi)
@@ -383,4 +396,4 @@ def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:
         raise ParameterError(f"dp_minima requires lo <= hi, got lo={lo}, hi={hi}")
     _check_size(hi - lo + 1)
     m = _chain(kind)
-    return [_closed_minimum(*m.power(n), n, kind) for n in range(lo, hi + 1)]
+    return [m.closed(n)[0] for n in range(lo, hi + 1)]

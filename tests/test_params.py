@@ -57,6 +57,8 @@ CALLS = {
     "PetersenGraph.block_at:i": (G.block_at, ints(-20, 20)),
     "PetersenGraph.blocks_stride3:start": (G.blocks_stride3, ints(-20, 20)),
     "PetersenGraph.pair_at:i": (G.pair_at, ints(-20, 20)),
+    "VertexSet:outer": (lambda v: VertexSet(v, 0b101), ints(-2, 40)),
+    "VertexSet:inner": (lambda v: VertexSet(0b101, v), ints(-2, 40)),
     "VertexSet.from_names:n": (lambda v: VertexSet.from_names("u1,v12,u30", v), ints(-2, 40)),
     "VertexSet.arrays:n": (lambda v: VertexSet(0b10, 0b1000).arrays(v), ints(-2, 12)),
     "build_petersen:n": (lambda v: build_petersen(v, 2), ints(-1, 30)),
@@ -90,7 +92,8 @@ CALLS = {
 }
 
 # value types whose int fields the package fills in itself: their
-# constructors take data, not parameters, and are not checked
+# constructors take data, not parameters, and are not checked (Vertex,
+# Block and Pair are built per vertex on hot paths)
 RECORDS = {
     "Block",
     "Construction",
@@ -98,7 +101,6 @@ RECORDS = {
     "Pair",
     "SolveResult",
     "Vertex",
-    "VertexSet",
     "Violation",
 }
 

@@ -231,6 +231,20 @@ class TestCheckEq1:
         report = check_eq1(PairProfile((3, 0, 0, 0, 0, 0)), 6)
         assert not report.bounds_ok
 
+    @pytest.mark.parametrize(
+        "entry", [0.5, 1.0, -1, 3, True, np.float64(1), np.bool_(True)]
+    )
+    def test_bounds_refuse_non_integers(self, entry):
+        # profile entries are member counts: only int and numpy integers
+        # in [0, 2] are in bounds
+        values = (1, 1, 0) * 3 + (entry,)
+        assert not check_eq1(PairProfile(values), 10).bounds_ok
+
+    @pytest.mark.parametrize("entry", [1, np.int64(1), np.uint8(1)])
+    def test_bounds_take_numpy_integers(self, entry):
+        report = check_eq1(PairProfile((1, 1, 0) * 3 + (entry,)), 10)
+        assert report.bounds_ok and report.window_ok and report.sum_ok
+
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
             check_eq1(PairProfile((1, 1)), 6)

@@ -9,6 +9,7 @@ import pytest
 import petdom.transfer as transfer
 from petdom import (
     DominationKind,
+    InfeasibleError,
     ParameterError,
     SizeLimitError,
     SolveMethod,
@@ -282,6 +283,54 @@ class TestPeriodicChain:
                         assert result.witness == want.witness
         finally:
             sys.setswitchinterval(interval)
+
+
+class TestClosedTours:
+    @pytest.mark.parametrize("kind", list(K))
+    def test_matches_stepped_tables(self, kind):
+        # minimum and live rows of every n against M^n stepped one column at
+        # a time from the identity, through four periods past the stored ones
+        chain = transfer._Chain(kind)
+        N, p, _ = chain.cycle
+        table = np.full((64, 64), np.inf, dtype=np.float32)
+        np.fill_diagonal(table, 0.0)
+        for n in range(N + p + 4 * p + 1):
+            diagonal = np.diagonal(table)
+            minimum, rows = chain.closed(n)
+            assert minimum == int(diagonal.min()), n
+            np.testing.assert_array_equal(rows, np.flatnonzero(diagonal == diagonal.min()))
+            table = transfer._column_step(table, transfer._ALL_CHOICES, chain)
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_dp_minima_steps_no_column(self, kind, monkeypatch):
+        # once the chain exists, a range of minima is read off its table:
+        # no column step and no power per n
+        chain = transfer._chain(kind)
+        calls = []
+        step, power = transfer._column_step, chain.power
+        monkeypatch.setattr(
+            transfer, "_column_step", lambda *args: calls.append("step") or step(*args)
+        )
+        monkeypatch.setattr(chain, "power", lambda L: calls.append("power") or power(L))
+        minima = dp_minima(5, 10**5, kind)
+        assert calls == []
+        assert len(minima) == 10**5 - 4 and minima[-1] == FORMULAS[kind](10**5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda: dp_min(13, K.ONE_TWO), lambda: dp_minima(5, 13, K.ONE_TWO)],
+        ids=["dp_min", "dp_minima"],
+    )
+    def test_infeasible_message(self, call, monkeypatch):
+        # no n >= 5 is infeasible for any kind, so the table is doctored at
+        # n = 13, a stored length of one-two's (N + p = 18)
+        chain = transfer._chain(K.ONE_TWO)
+        tours = list(chain.tours)
+        tours[13] = (None, np.arange(64))
+        monkeypatch.setattr(chain, "tours", tours)
+        with pytest.raises(InfeasibleError) as info:
+            call()
+        assert str(info.value) == "no valid one-two set exists in P(13,2)"
 
 
 class TestPeriodicWalk:
