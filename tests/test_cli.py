@@ -4,6 +4,7 @@ import json
 import pytest
 
 from petdom.cli import main
+from petdom.constructions import construct_one_two_total
 
 
 def run(capsys, *argv):
@@ -354,3 +355,23 @@ def test_long_range_stdout_pinned(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[argv]
+
+
+# sha256 of the concatenated stdout of `census` on construct_one_two_total(n)
+# for n = 5..2000, recorded while the census walked Vertex objects
+CENSUS_SHA256 = {
+    "json": "b35c3a43b29f95c044c33fd87e83e3bdd60b5f23b436f9783fca6916d3d809a4",
+    "text": "f951f93eb69d7bbfcc2b3d02c21af1abf4a14550cd21fee38d6799e02667e9ff",
+}
+
+
+@pytest.mark.parametrize("fmt", list(CENSUS_SHA256))
+def test_census_stdout_pinned(capsys, fmt):
+    h = hashlib.sha256()
+    for n in range(5, 2001):
+        S = construct_one_two_total(n)
+        code, out, _ = run(capsys, "census", "--n", str(n), "--set", S.text(),
+                           "--format", fmt)
+        assert code == 0
+        h.update(out.encode())
+    assert h.hexdigest() == CENSUS_SHA256[fmt]

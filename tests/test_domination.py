@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +18,7 @@ from petdom import (
     Vertex,
     VertexSet,
     blocks_by_count,
+    brute_force_min,
     build_petersen,
     census_inequalities,
     classify_singleton_block,
@@ -24,6 +28,7 @@ from petdom import (
     induced_components,
     is_valid,
 )
+from petdom.constructions import build_construction
 
 K = DominationKind
 
@@ -376,3 +381,88 @@ class TestCensusProperties:
                     2 * comp.order + 2 if comp.kind == "path" else 2 * comp.order
                 )
                 assert len(closed) <= bound
+
+
+def _block_lines(g, S):
+    """The bucket centres of S's blocks, then each singleton block's
+    placement or the text of the error classifying it raises."""
+    buckets = blocks_by_count(g, S)
+    for c in range(7):
+        yield f"{c}: {','.join(str(b.center) for b in buckets[c])}"
+    for b in buckets[1]:
+        try:
+            yield f"{b.center} {classify_singleton_block(g, S, b).value}"
+        except ClassificationImpossibleError as exc:
+            yield f"{b.center} {exc}"
+
+
+def _walk_lines(g, S):
+    """Each component of G[S] as its kind and vertex names, in discovery
+    order, or the text of the CensusError raised instead."""
+    try:
+        for comp in induced_components(g, S):
+            yield f"{comp.kind} {','.join(v.name for v in comp.vertices)}"
+    except CensusError as exc:
+        yield str(exc)
+
+
+def _digest(cases, *lines):
+    h = hashlib.sha256()
+    for tag, g, S in cases:
+        for line_of in lines:
+            for line in line_of(g, S):
+                h.update(f"{tag} {line}\n".encode())
+    return h.hexdigest()
+
+
+def _constructions(kind):
+    for n in range(5, 2001):
+        yield n, build_petersen(n, 2), build_construction(n, kind).vertex_set
+
+
+def _random_sets(count=600, seed=14):
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(5, 30)
+        S = VertexSet(rng.getrandbits(n), rng.getrandbits(n))
+        yield t, build_petersen(n, 2), S
+
+
+class TestPinned:
+    # sha256 over the artifacts' results and error texts, recorded while
+    # blocks and components were still built from Vertex objects and
+    # g.neighbors: a change of bucket, placement, walk order or message
+    # fails here
+    @pytest.mark.parametrize(
+        "kind,digest",
+        [
+            (K.ONE_TWO, "e304f5bd3e236814ea2095d06db42f5d35f58a8e050bf93ea5a6f001d4d21588"),
+            (K.ONE_TWO_TOTAL, "8515403e80fd2ca49da52fcefebb9d5b9652980856165e4af060b8b4ab75c846"),
+        ],
+    )
+    def test_construction_blocks(self, kind, digest):
+        assert _digest(_constructions(kind), _block_lines) == digest
+
+    @pytest.mark.parametrize(
+        "kind,digest",
+        [
+            (K.ONE_TWO, "8b1af15243c15a0dcb04a9d437c6d5c61cb33128c9df1d375d5e5fe803f42a02"),
+            (K.ONE_TWO_TOTAL, "dca1dac7d90ed1f27f89db9d739de1ad489d6b6aa2bb17692d2c855455d56677"),
+        ],
+    )
+    def test_construction_walks(self, kind, digest):
+        assert _digest(_constructions(kind), _walk_lines) == digest
+
+    def test_brute_force_witnesses(self):
+        cases = [
+            (f"{n} {kind.value}", g, brute_force_min(g, kind).witness)
+            for n in range(5, 14)
+            for g in [build_petersen(n, 2)]
+            for kind in K
+        ]
+        digest = _digest(cases, _block_lines, _walk_lines)
+        assert digest == "ca6c0502577c05f337c0904f757bfb82dd494a6a757f1749c4881cc4188552f3"
+
+    def test_random_sets(self):
+        digest = _digest(_random_sets(), _block_lines, _walk_lines)
+        assert digest == "720bf40feb2e181735d2c82918cf22b0e77c51f6fffa755bb01f511b2e99dd7c"
