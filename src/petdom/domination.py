@@ -20,7 +20,8 @@ On top of the validators sit the proof artifacts for P(n,2):
 gamma_s counts, the bucketing of blocks by |block & S|, the
 classification of blocks containing exactly one member of S, and the
 path/cycle census of the subgraph induced by a [1,2]-total dominating
-set together with its counting inequalities.
+set together with its counting inequalities.  These get c from ``counts``
+too, walk G[S] by rank and build Vertex and Block objects only to return.
 """
 
 from __future__ import annotations
@@ -118,7 +119,8 @@ class ValidationReport:
 
 def domination_count(g: PetersenGraph, S: VertexSet, v: Vertex) -> int:
     """|N(v) & S|, an integer in [0, 3]."""
-    return sum(1 for w in g.neighbors(v) if w in S)
+    r = g.rank(v)
+    return int(np.concatenate(counts(g.n, g.k, *S.arrays(g.n)))[r])
 
 
 def counts(
@@ -163,9 +165,12 @@ def blocks_by_count(g: PetersenGraph, S: VertexSet) -> dict[int, list[Block]]:
     empty whenever S is a dominating set.
     """
     g._require_k2("blocks_by_count")
+    x = np.add(*S.arrays(g.n))  # members per column
+    # block i holds x_{i-1} + x_i + x_{i+1}: u_i's count on C_n with x on both rings
+    window, _ = counts(g.n, 1, x, x)
     buckets: dict[int, list[Block]] = {c: [] for c in range(7)}
-    for b in g.blocks():
-        buckets[gamma_s(g, S, b.vertex_set)].append(b)
+    for b, c in zip(g.blocks(), window.tolist()):
+        buckets[c].append(b)
     return buckets
 
 
@@ -186,6 +191,15 @@ class BlockType(Enum):
     RIGHT_OUTER = "right-outer"     # u_{i+1} in S
 
 
+# the placement of a singleton block's member by (ring, column - center)
+_PLACEMENTS = {
+    (Ring.INNER, 0): BlockType.CENTER_INNER,
+    (Ring.OUTER, 0): BlockType.CENTER_OUTER,
+    (Ring.OUTER, -1): BlockType.LEFT_OUTER,
+    (Ring.OUTER, 1): BlockType.RIGHT_OUTER,
+}
+
+
 def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockType:
     """Classify a block with exactly one member of S.
 
@@ -194,21 +208,16 @@ def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockT
     v_{i+1}, which would leave the block's central vertex undominated
     and therefore contradicts S being a valid [1,2]-dominating set.
     """
-    hit = b.vertex_set & S
+    hit = {v for v in b.vertices if v in S}
     if len(hit) != 1:
         raise ParameterError(
             f"block centered at {b.center} has gamma_S = {len(hit)}, expected 1"
         )
     (member,) = hit
     i = b.center
-    if member == g.inner(i):
-        return BlockType.CENTER_INNER
-    if member == g.outer(i):
-        return BlockType.CENTER_OUTER
-    if member == g.outer(i - 1):
-        return BlockType.LEFT_OUTER
-    if member == g.outer(i + 1):
-        return BlockType.RIGHT_OUTER
+    placement = _PLACEMENTS.get((member.ring, (member.index - i + 1) % g.n - 1))
+    if placement is not None:
+        return placement
     raise ClassificationImpossibleError(
         f"singleton block centered at {i} holds only {member.name}, which "
         f"cannot dominate the central vertex u{i}; S is not a valid "
@@ -238,60 +247,50 @@ def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
 
     Raises CensusError if any member has induced degree 0 or 3.
     """
-    members = S.sorted()
-    adj: dict[Vertex, list[Vertex]] = {}
-    for v in members:
-        nbrs = [w for w in g.neighbors(v) if w in S]
-        if len(nbrs) == 0 or len(nbrs) == 3:
-            raise CensusError(
-                f"vertex {v.name} has induced degree {len(nbrs)}; the input "
-                f"set is not [1,2]-total dominating"
-            )
-        adj[v] = nbrs
+    n = g.n
+    outer, inner = S.arrays(n)
+    member = np.concatenate((outer, inner))  # by rank
+    degree = np.concatenate(counts(n, g.k, outer, inner))
+    bad = np.flatnonzero(member & ((degree == 0) | (degree == 3)))
+    if bad.size:
+        r = int(bad[0])
+        raise CensusError(
+            f"vertex {g.vertex(r).name} has induced degree {degree[r]}; the "
+            f"input set is not [1,2]-total dominating"
+        )
+    inside = member.tolist()
 
-    seen: set[Vertex] = set()
+    def near(r: int, prev: int = -1) -> list[int]:  # ascending
+        return [w for w in g.neighbor_ranks(r) if inside[w] and w != prev]
+
+    def arm(start: int, cur: int) -> tuple[list[int], bool]:
+        """The members from cur on, walking away from start, up to a path
+        end (False) or back to start (True)."""
+        walk, prev = [], start
+        while cur != start:
+            walk.append(cur)
+            ahead = near(cur, prev)
+            if not ahead:
+                return walk, False
+            prev, cur = cur, ahead[0]
+        return walk, True
+
+    seen: set[int] = set()
     components: list[Component] = []
-    for start in members:
+    # in rank order, so start is the smallest member of its component
+    for start in np.flatnonzero(member).tolist():
         if start in seen:
             continue
-        comp: set[Vertex] = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        ends = sorted((v for v in comp if len(adj[v]) == 1), key=Vertex.sort_key)
-        if ends:
-            walk = _walk(adj, ends[0], comp)
-            components.append(Component("path", tuple(walk)))
-        else:
-            first = min(comp, key=Vertex.sort_key)
-            second = min(adj[first], key=Vertex.sort_key)
-            walk = _walk(adj, first, comp, toward=second)
-            components.append(Component("cycle", tuple(walk)))
+        first = near(start)
+        walk, closed = arm(start, first[0])  # toward the smaller neighbor
+        back = arm(start, first[1])[0] if len(first) == 2 and not closed else []
+        walk = back[::-1] + [start] + walk
+        if walk[-1] < walk[0]:  # a path runs from its smaller end
+            walk.reverse()
+        seen.update(walk)
+        kind = "cycle" if closed else "path"
+        components.append(Component(kind, tuple(map(g.vertex, walk))))
     return components
-
-
-def _walk(
-    adj: dict[Vertex, list[Vertex]],
-    start: Vertex,
-    comp: set[Vertex],
-    toward: Vertex | None = None,
-) -> list[Vertex]:
-    walk = [start]
-    prev: Vertex | None = None
-    cur = start
-    if toward is not None:
-        walk.append(toward)
-        prev, cur = start, toward
-    while len(walk) < len(comp):
-        nxt = [w for w in adj[cur] if w != prev]
-        prev, cur = cur, nxt[0]
-        walk.append(cur)
-    return walk
 
 
 @dataclass(frozen=True)

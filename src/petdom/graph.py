@@ -2,13 +2,15 @@
 
 The graph P(n,k) has outer vertices u_0..u_{n-1} forming a cycle, inner
 vertices v_0..v_{n-1}, spokes u_i-v_i and inner skip edges v_i-v_{i+k}
-(all indices modulo n).  Adjacency is computed arithmetically, so a graph
-is just the pair (n, k) and neighbor queries cost O(1) regardless of n.
+(all indices modulo n).  A graph is just the pair (n, k): vertices are
+numbered by rank in canonical order (u_i is rank i, v_i rank n + i), and
+``neighbor_ranks`` is the one adjacency rule, O(1) arithmetic at any n.
 
 Every layer shares one vertex-set representation, two bitmasks (see
-``VertexSet``); ``Vertex`` objects are built only at the edges: parsing
-a single name, neighbor queries and the derived views of a set.  A set's
-names are parsed as whole arrays, with no Python work per well-formed name.
+``VertexSet``), and walks ranks; ``Vertex`` objects are built only at the
+edges: parsing a single name, the results of queries and the derived
+views of a set.  A set's names are parsed as whole arrays, with no Python
+work per well-formed name.
 
 Two proof-oriented partitions of P(n,2) are exposed as queryable objects:
 
@@ -25,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -145,7 +147,7 @@ class VertexSet:
         # indices are gathered per ring and each ring's mask packed once
         indices: dict[Ring, list[int]] = {Ring.OUTER: [], Ring.INNER: []}
         for v in vertices:
-            if v.index < 0:
+            if require_int("index", v.index) < 0:
                 raise ParameterError(f"vertex {v.name} has a negative index")
             indices[v.ring].append(v.index)
         return cls(_mask(indices[Ring.OUTER]), _mask(indices[Ring.INNER]))
@@ -313,11 +315,8 @@ class PetersenGraph:
         return Vertex(Ring.INNER, require_int("i", i) % self.n)
 
     def vertices(self) -> Iterator[Vertex]:
-        """All 2n vertices in canonical order."""
-        for i in range(self.n):
-            yield Vertex(Ring.OUTER, i)
-        for i in range(self.n):
-            yield Vertex(Ring.INNER, i)
+        """All 2n vertices in canonical order, which is rank order."""
+        return (Vertex(ring, i) for ring in Ring for i in range(self.n))
 
     def vertex_set(self) -> VertexSet:
         return VertexSet.of(self.vertices())
@@ -325,24 +324,31 @@ class PetersenGraph:
     def contains(self, v: Vertex) -> bool:
         return 0 <= v.index < self.n
 
-    def _check_vertex(self, v: Vertex) -> None:
+    def rank(self, v: Vertex) -> int:
+        """v's position in canonical order: u_i has rank i, v_i rank n + i."""
         if not self.contains(v):
-            raise ParameterError(
-                f"vertex {v.name} has index outside [0, {self.n})"
-            )
+            raise ParameterError(f"vertex {v.name} has index outside [0, {self.n})")
+        return v.index if v.ring is Ring.OUTER else self.n + v.index
+
+    def vertex(self, r: int) -> Vertex:
+        """The vertex of rank r (see ``rank``)."""
+        r = require_int("r", r, 0, 2 * self.n - 1)
+        return Vertex(Ring.OUTER, r) if r < self.n else Vertex(Ring.INNER, r - self.n)
+
+    def neighbor_ranks(self, r: int) -> tuple[int, int, int]:
+        """The ranks of the three neighbors of rank r, ascending: u_{i-1},
+        u_{i+1}, v_i of u_i, and u_i, v_{i-k}, v_{i+k} of v_i."""
+        n, r = self.n, require_int("r", r, 0, 2 * self.n - 1)
+        if r < n:
+            a, b = (r - 1) % n, (r + 1) % n
+            return (a, b, n + r) if a < b else (b, a, n + r)
+        i = r - n
+        a, b = n + (i - self.k) % n, n + (i + self.k) % n
+        return (i, a, b) if a < b else (i, b, a)
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
-        """The three neighbors of v, canonically sorted.
-
-        Outer u_i: u_{i-1}, u_{i+1}, v_i.  Inner v_i: v_{i-k}, v_{i+k}, u_i.
-        """
-        self._check_vertex(v)
-        n, i = self.n, v.index
-        if v.ring is Ring.OUTER:
-            nbrs = [self.outer(i - 1), self.outer(i + 1), self.inner(i)]
-        else:
-            nbrs = [self.inner(i - self.k), self.inner(i + self.k), self.outer(i)]
-        return sorted(nbrs, key=Vertex.sort_key)
+        """The three neighbors of v, canonically sorted."""
+        return [self.vertex(r) for r in self.neighbor_ranks(self.rank(v))]
 
     def adjacent(self, a: Vertex, b: Vertex) -> bool:
         return b in self.neighbors(a)
@@ -356,18 +362,22 @@ class PetersenGraph:
     def block_at(self, i: int) -> Block:
         """The block centered at column i (reduced mod n); needs k=2."""
         self._require_k2("block_at")
-        i = require_int("i", i) % self.n
-        cols = [(i - 1) % self.n, i, (i + 1) % self.n]
-        odd = sum(c % 2 for c in cols)
-        sign = BlockSign.POSITIVE if odd == 2 else BlockSign.NEGATIVE
-        verts = [Vertex(Ring.INNER, c) for c in cols]
-        verts += [Vertex(Ring.OUTER, c) for c in cols]
-        return Block(i, tuple(sorted(verts, key=Vertex.sort_key)), sign)
+        return self._block(require_int("i", i) % self.n, self.vertex)
 
     def blocks(self) -> Iterator[Block]:
-        """All n (overlapping) blocks, by ascending center."""
+        """All n (overlapping) blocks, by ascending center.  They share
+        one Vertex object per vertex."""
+        self._require_k2("block_at")
+        by_rank = list(self.vertices()).__getitem__
         for i in range(self.n):
-            yield self.block_at(i)
+            yield self._block(i, by_rank)
+
+    def _block(self, i: int, vertex: Callable[[int], Vertex]) -> Block:
+        """The block centered at column i in [0, n), its vertices got by rank."""
+        n = self.n
+        a, b, c = sorted(((i - 1) % n, i, (i + 1) % n))
+        sign = BlockSign.POSITIVE if a % 2 + b % 2 + c % 2 == 2 else BlockSign.NEGATIVE
+        return Block(i, tuple(map(vertex, (a, b, c, n + a, n + b, n + c))), sign)
 
     def blocks_stride3(self, start: int = 1) -> Iterator[Block]:
         """Blocks at centers start, start+3, start+6, ... covering every
@@ -383,8 +393,7 @@ class PetersenGraph:
         return Pair(i, Vertex(Ring.OUTER, i), Vertex(Ring.INNER, i))
 
     def pairs(self) -> Iterator[Pair]:
-        for i in range(self.n):
-            yield self.pair_at(i)
+        return map(self.pair_at, range(self.n))
 
 
 def build_petersen(n: int, k: int) -> PetersenGraph:

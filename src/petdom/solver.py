@@ -46,7 +46,7 @@ from .errors import (
     require_int,
 )
 from .formulas import f_one_two
-from .graph import PetersenGraph, Ring, Vertex, VertexSet
+from .graph import PetersenGraph, VertexSet
 
 __all__ = [
     "SolveMethod",
@@ -111,11 +111,10 @@ class SolveResult:
 class _ExactSearch:
     """Depth-first search over subsets of exactly m vertices.
 
-    Vertices are decided in a fixed position order, a list of canonical
-    ranks (u_0..u_{n-1} are ranks 0..n-1, v_0..v_{n-1} ranks n..2n-1),
-    with the include branch explored first.  Every order starts with u_0.
-    The masks below are built in that order from ``adj``, the neighbour
-    ranks of each rank, which searches in different orders share.
+    Vertices are decided in a fixed position order, a list of the ranks
+    of g (``PetersenGraph.rank``: canonical order), with the include
+    branch explored first.  Every order starts with u_0.  The masks below
+    are built in that order from ``g.neighbor_ranks``.
     In canonical order (ranks ascending) the first complete valid set
     found for a given m is the lexicographically smallest one.  In column
     order (u_0, v_0, u_1, v_1, ...) a vertex's closed neighbourhood is
@@ -150,9 +149,9 @@ class _ExactSearch:
     the inner ring at m = n.
     """
 
-    def __init__(self, adj: list[list[int]], kind: DominationKind, ranks: Sequence[int]):
-        self.order = len(adj)
-        self.n = self.order // 2
+    def __init__(self, g: PetersenGraph, kind: DominationKind, ranks: Sequence[int]):
+        self.order = 2 * g.n
+        self.n = g.n
         self.ranks = ranks
         self.full = (1 << self.order) - 1
         # kind.accepts on masks: a vertex passes when it is in ge1 and not
@@ -168,13 +167,13 @@ class _ExactSearch:
             at[r] = p
         self.nb = [0] * self.order
         self.fin = [0] * (self.order + 1)
-        for r, nbrs in enumerate(adj):
-            p, nbrs = at[r], [at[w] for w in nbrs]
+        for r in range(self.order):
+            p, nbrs = at[r], [at[w] for w in g.neighbor_ranks(r)]
             self.nb[p] = sum(1 << w for w in nbrs)
             self.fin[max(p, *nbrs) + 1] |= 1 << p
         for p in range(self.order):
             self.fin[p + 1] |= self.fin[p]
-        self.inner = [at[r] for r in range(self.n, self.order)]
+        self.inner = [at[g.rank(g.inner(i))] for i in range(self.n)]
 
     def search(self, m: int) -> int | None:
         """Return the rank mask of the first valid set of size exactly m in
@@ -215,20 +214,9 @@ class _ExactSearch:
             p += 1
 
 
-def _adjacency(g: PetersenGraph) -> list[list[int]]:
-    """The neighbour ranks of each rank, the one walk of g's adjacency
-    that the searches of every position order share."""
-    n = g.n
-
-    def rank(v: Vertex) -> int:
-        return v.index if v.ring is Ring.OUTER else n + v.index
-
-    return [[rank(w) for w in g.neighbors(v)] for v in g.vertices()]
-
-
-def _column_order(n: int) -> list[int]:
+def _column_order(g: PetersenGraph) -> list[int]:
     """Ranks in column order: u_0, v_0, u_1, v_1, ..., u_{n-1}, v_{n-1}."""
-    return [r for i in range(n) for r in (i, n + i)]
+    return [g.rank(v) for p in g.pairs() for v in p.vertices]
 
 
 def brute_force_min(
@@ -249,14 +237,13 @@ def brute_force_min(
         )
     if budget is not None:
         budget = require_int("budget", budget, 0)
-    adj = _adjacency(g)
-    proof = _ExactSearch(adj, kind, _column_order(g.n))
+    proof = _ExactSearch(g, kind, _column_order(g))
     lower = -(-order // proof.cover)
     upper = order if budget is None else min(budget, order)
     for m in range(min(lower, upper + 1), upper + 1):
         if proof.search(m) is not None:
-            mask = _ExactSearch(adj, kind, range(order)).search(m)
-            witness = VertexSet(mask & ((1 << g.n) - 1), mask >> g.n)
+            mask = _ExactSearch(g, kind, range(order)).search(m)
+            witness = VertexSet.of(g.vertex(r) for r in range(order) if mask >> r & 1)
             return SolveResult(g.n, g.k, kind, m, witness, SolveMethod.BRUTE_FORCE)
     if budget is not None:
         raise InfeasibleError(
@@ -291,9 +278,10 @@ def pair_profile(g: PetersenGraph, S: VertexSet) -> PairProfile:
 class Eq1Check:
     """Predicate report for the window system over a profile.
 
-    bounds_ok: every entry lies in [0, 2];
+    bounds_ok: every entry is an integer in [0, 2];
     window_ok: every cyclic window of three consecutive entries sums to >= 2;
     sum_ok:    the total is strictly below f(n).
+    The last two are False whenever bounds_ok is.
     """
 
     bounds_ok: bool
@@ -306,16 +294,19 @@ class Eq1Check:
 
 
 def check_eq1(x: PairProfile, n: int) -> Eq1Check:
-    n = require_int("n", n)  # f_one_two below refuses n < 5
+    """The window system's report on x; a profile with an entry that is
+    not an integer in [0, 2] fails all three checks."""
+    n = require_int("n", n)
     if len(x) != n:
         raise ParameterError(f"profile length {len(x)} does not match n={n}")
+    target = f_one_two(n)  # refuses n < 5
     vals = x.values
-    bounds_ok = all(is_int(v) and 0 <= v <= 2 for v in vals)
+    if not all(is_int(v) and 0 <= v <= 2 for v in vals):
+        return Eq1Check(False, False, False)
     window_ok = all(
         vals[i] + vals[(i + 1) % n] + vals[(i + 2) % n] >= 2 for i in range(n)
     )
-    sum_ok = sum(vals) < f_one_two(n)
-    return Eq1Check(bounds_ok, window_ok, sum_ok)
+    return Eq1Check(True, window_ok, sum(vals) < target)
 
 
 def enumerate_eq1(n: int) -> list[PairProfile]:

@@ -339,6 +339,35 @@ class TestComponentCensus:
         assert component_census(g, S9).as_dict() == {"x": {"2": 3}, "y": {}}
 
 
+class TestMembersOutsideN:
+    # S does not know n: the artifacts refuse what is_valid refuses
+    S = VertexSet.from_names("u1,u50", 60)
+    MESSAGE = "vertex u50 has index outside [0, 10)"
+
+    def test_is_valid(self):
+        with pytest.raises(ParameterError) as info:
+            is_valid(build_petersen(10, 2), self.S, K.ONE_TWO)
+        assert str(info.value) == self.MESSAGE
+
+    def test_blocks_by_count(self):
+        with pytest.raises(ParameterError) as info:
+            blocks_by_count(build_petersen(10, 2), self.S)
+        assert str(info.value) == self.MESSAGE
+
+    def test_induced_components_before_census_error(self):
+        # u1 alone in P(10,2) has induced degree 0, but u50 is refused first
+        for artifact in (induced_components, component_census):
+            with pytest.raises(ParameterError) as info:
+                artifact(build_petersen(10, 2), self.S)
+            assert str(info.value) == self.MESSAGE
+
+    def test_domination_count(self):
+        g = build_petersen(10, 2)
+        with pytest.raises(ParameterError) as info:
+            domination_count(g, self.S, g.outer(0))
+        assert str(info.value) == self.MESSAGE
+
+
 class TestCensusInequalities:
     def test_s9_census(self):
         checks = census_inequalities(ComponentCensus({2: 3}, {}), 9, 6)

@@ -336,8 +336,43 @@ class TestVertexSetModel:
         with pytest.raises(ParameterError, match="vertex u-1 has a negative index"):
             VertexSet.of([Vertex(Ring.OUTER, -1)])
 
+    @pytest.mark.parametrize("index", [2.5, 3.0, "3", None, True])
+    def test_of_refuses_non_integer_index(self, index):
+        with pytest.raises(ParameterError) as info:
+            VertexSet.of([Vertex(Ring.OUTER, 1), Vertex(Ring.OUTER, index)])
+        assert str(info.value) == f"index must be an integer, got {index!r}"
+
     def test_arrays_reject_index_outside_n(self):
         S = VertexSet.of([Vertex(Ring.INNER, 2), Vertex(Ring.INNER, 9)])
         with pytest.raises(ParameterError, match=r"vertex v9 has index outside \[0, 5\)"):
             S.arrays(5)
         assert S.arrays(10)[1].tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 1]
+
+
+class TestRanks:
+    @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (9, 2), (10, 3), (13, 4), (14, 6)])
+    def test_numbering_and_neighbor_ranks(self, n, k):
+        g = build_petersen(n, k)
+        assert [g.rank(v) for v in g.vertices()] == list(range(2 * n))
+        for r, v in enumerate(g.vertices()):
+            assert g.vertex(r) == v
+            i = v.index
+            if v.ring is Ring.OUTER:
+                expected = {(i - 1) % n, (i + 1) % n, n + i}
+            else:
+                expected = {i, n + (i - k) % n, n + (i + k) % n}
+            got = g.neighbor_ranks(r)
+            assert list(got) == sorted(expected)
+            assert [g.rank(w) for w in g.neighbors(v)] == list(got)
+
+    @pytest.mark.parametrize("r", [-1, 18, 2**70])
+    def test_rank_bounds(self, r):
+        g = build_petersen(9, 2)
+        for method in (g.vertex, g.neighbor_ranks):
+            with pytest.raises(ParameterError) as info:
+                method(r)
+            assert str(info.value) == f"r must satisfy 0 <= r <= 17, got r={r}"
+
+    def test_rank_refuses_vertex_outside_n(self):
+        with pytest.raises(ParameterError, match=r"vertex v9 has index outside \[0, 9\)"):
+            build_petersen(9, 2).rank(Vertex(Ring.INNER, 9))

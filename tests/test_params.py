@@ -57,6 +57,8 @@ CALLS = {
     "PetersenGraph.block_at:i": (G.block_at, ints(-20, 20)),
     "PetersenGraph.blocks_stride3:start": (G.blocks_stride3, ints(-20, 20)),
     "PetersenGraph.pair_at:i": (G.pair_at, ints(-20, 20)),
+    "PetersenGraph.vertex:r": (G.vertex, ints(-2, 20)),
+    "PetersenGraph.neighbor_ranks:r": (G.neighbor_ranks, ints(-2, 20)),
     "VertexSet:outer": (lambda v: VertexSet(v, 0b101), ints(-2, 40)),
     "VertexSet:inner": (lambda v: VertexSet(0b101, v), ints(-2, 40)),
     "VertexSet.from_names:n": (lambda v: VertexSet.from_names("u1,v12,u30", v), ints(-2, 40)),

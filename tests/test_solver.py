@@ -106,12 +106,12 @@ class TestExactSearch:
         sizes = bits.sum(axis=1)
         gaps = 0
         for k in range(1, (n + 1) // 2):
-            adj = solver._adjacency(build_petersen(n, k))
+            g = build_petersen(n, k)
             cu, cv = counts(n, k, outer, inner)
             for kind in K:
                 valid = (kind.accepts(cu, outer) & kind.accepts(cv, inner)).all(axis=0)
-                canonical = solver._ExactSearch(adj, kind, range(2 * n))
-                by_column = solver._ExactSearch(adj, kind, solver._column_order(n))
+                canonical = solver._ExactSearch(g, kind, range(2 * n))
+                by_column = solver._ExactSearch(g, kind, solver._column_order(g))
                 for m in range(2 * n + 1):
                     rows = np.flatnonzero(valid & (sizes == m))
                     expected = None
@@ -141,10 +141,10 @@ class TestExactSearch:
 
         n = 7
         for k in (1, 2, 3):
-            adj = solver._adjacency(build_petersen(n, k))
+            g = build_petersen(n, k)
             for kind in K:
-                for ranks in (range(2 * n), solver._column_order(n)):
-                    search = WithoutU0(adj, kind, ranks)
+                for ranks in (range(2 * n), solver._column_order(g)):
+                    search = WithoutU0(g, kind, ranks)
                     assert search.search(n) == ((1 << n) - 1) << n
                     assert search.search(n - 1) is None
                     assert search.search(n + 1) is None
@@ -244,6 +244,14 @@ class TestCheckEq1:
     def test_bounds_take_numpy_integers(self, entry):
         report = check_eq1(PairProfile((1, 1, 0) * 3 + (entry,)), 10)
         assert report.bounds_ok and report.window_ok and report.sum_ok
+
+    @pytest.mark.parametrize("entry", ["1", None, 1.0, 0.5])
+    def test_non_numbers_fail_every_check(self, entry):
+        # a profile that is not made of counts has no windows or sum to check
+        report = check_eq1(PairProfile((entry,) * 10), 10)
+        assert (report.bounds_ok, report.window_ok, report.sum_ok) == (False,) * 3
+        mixed = check_eq1(PairProfile((1, 1, 0) * 3 + (entry,)), 10)
+        assert (mixed.bounds_ok, mixed.window_ok, mixed.sum_ok) == (False,) * 3
 
     def test_length_mismatch(self):
         with pytest.raises(ParameterError):
