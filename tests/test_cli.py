@@ -375,3 +375,74 @@ def test_census_stdout_pinned(capsys, fmt):
         assert code == 0
         h.update(out.encode())
     assert h.hexdigest() == CENSUS_SHA256[fmt]
+
+
+# Every subcommand in every format, including usage and semantic errors:
+# sha256 of each argv, exit code and stdout, recorded before the parser
+# was built once per process.  stderr is left out, since argparse's
+# wording varies across Python versions.
+FORMATS = ("json", "csv", "text")
+KINDS = ("plain", "total", "one-two", "one-two-total")
+MATRIX = {
+    "solve": [
+        ["solve", "--n", n, "--kind", kind, "--method", method, *witness]
+        for kind in KINDS
+        for method, n in (("auto", "7"), ("auto", "11"), ("brute", "9"), ("dp", "9"))
+        for witness in ((), ("--witness",))
+    ] + [
+        ["solve", "--n", "4", "--kind", "one-two"],
+        ["solve", "--n", "9", "--k", "3", "--kind", "one-two"],
+        ["solve", "--n", "14", "--kind", "plain", "--method", "brute"],
+        ["solve", "--n", "9", "--kind", "bogus"],
+    ],
+    "verify": [["verify", "--kind", kind, "--from", "5", "--to", "30"] for kind in KINDS]
+    + [
+        ["verify", "--kind", "one-two", "--from", "4", "--to", "10"],
+        ["verify", "--kind", "plain", "--from", "9", "--to", "7"],
+    ],
+    "construct": [
+        ["construct", "--n", n, "--kind", kind]
+        for kind in ("one-two", "one-two-total")
+        for n in ("5", "7", "13", "14", "20")
+    ] + [
+        ["construct", "--n", "9", "--kind", "plain"],
+        ["construct", "--n", "4", "--kind", "one-two"],
+        ["construct", "--n", "9", "--k", "3", "--kind", "one-two"],
+    ],
+    "table": [
+        ["table", "--from", "5", "--to", "20"],
+        ["table", "--from", "6", "--to", "6"],
+        ["table", "--from", "9", "--to", "7"],
+    ],
+    "census": [
+        ["census", "--n", "9", "--set", "u1,v1,u4,v4,u7,v7"],
+        ["census", "--n", "7", "--set", "v4,u1,u0,u2,v1"],
+        ["census", "--n", "5", "--set", "u1,w3"],
+        ["census", "--n", "9", "--k", "3", "--set", "u1"],
+    ],
+    "eq1": [["eq1", "--n", n] for n in ("4", "5", "10", "12", "16", "21")],
+}
+MATRIX_SHA256 = {
+    "solve":
+        "e60cc89cb47eb0c8a8992cde6e28857d2ebd3334cf4024fe56a96ef4f002bfb9",
+    "verify":
+        "bb8c57f87c71bd7620a9ab1f6cf41b9bab7fefe5924948d4081e83a8da262ff9",
+    "construct":
+        "a64750fa7e3661d9af2aa6b5d4cf628240bda4c8e7a4a8b4cc1b31791669fb02",
+    "table":
+        "d5a442899014b1517e0dfa69cc938f1f2d3d540999db7419f2eed086d1a41c6c",
+    "census":
+        "012df785c5b2dfe7a9f3311f5e59698737c0a8be0f5df3f9b6bd669e2e5a0685",
+    "eq1":
+        "78435c4979921694c4d7dd86686505b0a5e92b510f144936d05d7fc42e67d92f",
+}
+
+
+@pytest.mark.parametrize("command", list(MATRIX_SHA256))
+def test_matrix_stdout_pinned(capsys, command):
+    h = hashlib.sha256()
+    for argv in MATRIX[command]:
+        for fmt in FORMATS:
+            code, out, _ = run(capsys, *argv, "--format", fmt)
+            h.update(f"{' '.join(argv)} --format {fmt} -> {code}\n{out}".encode())
+    assert h.hexdigest() == MATRIX_SHA256[command]
