@@ -39,8 +39,8 @@ from enum import Enum
 import numpy as np
 
 from .domination import DominationKind, counts
-from .errors import ConstructionError, ParameterError, require_int
-from .formulas import f_one_two, g_one_two_total
+from .errors import ConstructionError, ParameterError, check_columns, require_int
+from .formulas import BY_KIND, f_one_two
 from .graph import VertexSet
 
 __all__ = [
@@ -80,7 +80,6 @@ _STRIDE_RECIPES = {
     1: (2, np.array([2]), np.array([2]), ConstructionSource.SPLICED_PATTERN),
     2: (3, _NO_TAIL, np.array([2, 1]), ConstructionSource.SPLICED_PATTERN),
 }
-_FORMULAS = {DominationKind.ONE_TWO: f_one_two, DominationKind.ONE_TWO_TOTAL: g_one_two_total}
 
 
 @dataclass(frozen=True)
@@ -154,15 +153,17 @@ def _validate(
 
 
 def build_construction(n: int, kind: DominationKind) -> Construction:
-    """Validated witness construction for ONE_TWO or ONE_TWO_TOTAL."""
-    if kind not in _FORMULAS:
+    """Validated witness construction for ONE_TWO or ONE_TWO_TOTAL; n above
+    2^23 is refused with SizeLimitError."""
+    if not kind.upper_bounded:
         raise ParameterError(
             f"constructions exist for one-two and one-two-total only, "
             f"got {kind.value}"
         )
     n = require_int("n", n, 5, caller=f"construct_{kind.name.lower()}")
+    check_columns(n)
     outer, inner, source = _recipe(n, kind)
-    U, V = _validate(n, outer, inner, kind, _FORMULAS[kind](n))
+    U, V = _validate(n, outer, inner, kind, BY_KIND[kind](n))
     return Construction(n, kind, source, VertexSet.from_arrays(U, V))
 
 

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check
-that raises one."""
+"""Exception types shared across the package, and the integer and size
+checks that raise them."""
 
 import numpy as np
 
@@ -76,3 +76,15 @@ def require_int(
         head = f"{name} must satisfy" if caller is None else f"{caller} requires"
         raise ParameterError(f"{head} {bound}, got {name}={value}")
     return value
+
+
+MAX_COLUMNS = 2**23  # most columns of P(n,2) one call materialises
+
+
+def check_columns(columns: int) -> None:
+    """Refuse a call that would materialise more than MAX_COLUMNS columns
+    with SizeLimitError; callers check before allocating anything."""
+    if columns > MAX_COLUMNS:
+        raise SizeLimitError(
+            f"a call materialises at most 2^23 = {MAX_COLUMNS} columns, got {columns}"
+        )

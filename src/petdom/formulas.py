@@ -8,12 +8,15 @@ These formulas serve as oracles for the exact solvers:
 * ``gamma_t_ref(n)``    -- total domination number, 2*ceil(n/3).
 
 The [1,2] formulas are defined for n >= 5 and are rejected below that
-instead of extrapolating.
+instead of extrapolating.  ``BY_KIND`` maps each ``DominationKind`` to its
+formula, in enum order; every layer that needs a kind's closed form reads
+it there.
 """
 
+from .domination import DominationKind
 from .errors import require_int
 
-__all__ = ["f_one_two", "g_one_two_total", "gamma_ref", "gamma_t_ref"]
+__all__ = ["BY_KIND", "f_one_two", "g_one_two_total", "gamma_ref", "gamma_t_ref"]
 
 
 def f_one_two(n: int) -> int:
@@ -56,3 +59,11 @@ def gamma_t_ref(n: int) -> int:
     """Total domination number of P(n,2): 2*ceil(n/3)."""
     n = require_int("n", n, 3)
     return 2 * (-(-n // 3))
+
+
+BY_KIND = {
+    DominationKind.PLAIN: gamma_ref,
+    DominationKind.TOTAL: gamma_t_ref,
+    DominationKind.ONE_TWO: f_one_two,
+    DominationKind.ONE_TWO_TOTAL: g_one_two_total,
+}

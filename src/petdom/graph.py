@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParameterError, require_int
+from .errors import ParameterError, check_columns, require_int
 
 __all__ = [
     "Ring",
@@ -195,8 +195,10 @@ class VertexSet:
 
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Length-n uint8 membership arrays (outer, inner) of S; raises
-        ParameterError naming the first member with index >= n."""
+        ParameterError naming the first member with index >= n, and
+        SizeLimitError for n above 2^23."""
         n = require_int("n", n, 0)
+        check_columns(n)
         for ring, mask in ((Ring.OUTER, self.outer), (Ring.INNER, self.inner)):
             if mask >> n:
                 v = Vertex(ring, n + _indices(mask >> n)[0])

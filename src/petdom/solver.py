@@ -173,7 +173,7 @@ class _ExactSearch:
             self.fin[max(p, *nbrs) + 1] |= 1 << p
         for p in range(self.order):
             self.fin[p + 1] |= self.fin[p]
-        self.inner = [at[g.rank(g.inner(i))] for i in range(self.n)]
+        self.inner = at[self.n:]  # positions of ranks n..2n-1, the inner ring
 
     def search(self, m: int) -> int | None:
         """Return the rank mask of the first valid set of size exactly m in
@@ -216,7 +216,7 @@ class _ExactSearch:
 
 def _column_order(g: PetersenGraph) -> list[int]:
     """Ranks in column order: u_0, v_0, u_1, v_1, ..., u_{n-1}, v_{n-1}."""
-    return [g.rank(v) for p in g.pairs() for v in p.vertices]
+    return [r for i in range(g.n) for r in (i, g.n + i)]
 
 
 def brute_force_min(
@@ -243,7 +243,8 @@ def brute_force_min(
     for m in range(min(lower, upper + 1), upper + 1):
         if proof.search(m) is not None:
             mask = _ExactSearch(g, kind, range(order)).search(m)
-            witness = VertexSet.of(g.vertex(r) for r in range(order) if mask >> r & 1)
+            # the low n rank bits are the outer ring, the next n the inner
+            witness = VertexSet(mask & (1 << g.n) - 1, mask >> g.n)
             return SolveResult(g.n, g.k, kind, m, witness, SolveMethod.BRUTE_FORCE)
     if budget is not None:
         raise InfeasibleError(

@@ -108,7 +108,7 @@ from typing import Callable, Hashable, NamedTuple, TypeVar
 import numpy as np
 
 from .domination import DominationKind
-from .errors import InfeasibleError, ParameterError, SizeLimitError, require_int
+from .errors import InfeasibleError, ParameterError, check_columns, require_int
 from .graph import VertexSet
 from .solver import SolveMethod, SolveResult
 
@@ -119,18 +119,10 @@ _INF = np.float32(np.inf)
 _ALL_CHOICES = np.arange(4)
 _OUTER = np.array([[1, 3], [0, 2]])  # choices with u_j in S, and without
 _INNER = np.array([[[2], [0]], [[3], [1]]])  # [u_j]: with v_j in S, and without
-_MAX_N = 2**23  # most columns one call materialises (see "Size bound")
 _NO_PERIOD = (0, 0, 1)  # a (lo, hi, P) period that holds for no column
 
 _State = TypeVar("_State")
 _Suffix = Callable[[int], tuple[np.ndarray, int]]
-
-
-def _check_size(columns: int) -> None:
-    if columns > _MAX_N:
-        raise SizeLimitError(
-            f"a call materialises at most 2^23 = {_MAX_N} columns, got {columns}"
-        )
 
 
 def _until_repeat(
@@ -364,7 +356,7 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     canonical vertex order.
     """
     n = require_int("n", n, 5, caller="dp_min")
-    _check_size(n)
+    check_columns(n)
     m = _chain(kind)
     minimum, rows = m.closed(n)
 
@@ -394,6 +386,6 @@ def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:
     hi = require_int("hi", hi)
     if lo > hi:
         raise ParameterError(f"dp_minima requires lo <= hi, got lo={lo}, hi={hi}")
-    _check_size(hi - lo + 1)
+    check_columns(hi - lo + 1)
     m = _chain(kind)
     return [m.closed(n)[0] for n in range(lo, hi + 1)]

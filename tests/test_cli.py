@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -83,10 +84,10 @@ class TestVerify:
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         # a formula disagreement must surface as exit 1
-        import petdom.cli as cli
+        import petdom.formulas as formulas
         from petdom import DominationKind
 
-        monkeypatch.setitem(cli._FORMULAS, DominationKind.ONE_TWO, lambda n: 1)
+        monkeypatch.setitem(formulas.BY_KIND, DominationKind.ONE_TWO, lambda n: 1)
         code, out, _ = run(capsys, "verify", "--kind", "one-two",
                            "--from", "5", "--to", "6", "--format", "json")
         assert code == 1
@@ -143,20 +144,39 @@ class TestTable:
 
 
 class TestRangeBounds:
-    # verify and table take their range bounds from dp_minima's checks
+    # verify and table take their range bounds from dp_minima's checks;
+    # construct and census refuse more columns than dp_min before allocating
     @pytest.mark.parametrize(
         "argv,bound",
         [
             (["verify", "--kind", "one-two", "--from", "4", "--to", "10"], "lo >= 5"),
             (["table", "--from", "9", "--to", "7"], "lo <= hi"),
+            (["construct", "--n", "8388609", "--kind", "one-two"], "2^23 = 8388608"),
+            (["census", "--n", "8388609", "--set", "u1"], "2^23 = 8388608"),
         ],
-        ids=["verify-lo", "table-empty"],
+        ids=["verify-lo", "table-empty", "construct-size", "census-size"],
     )
     def test_usage_error_names_bound(self, capsys, argv, bound):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert bound in err
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    # every main call parses with the one parser built at import
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["table", "--from", "5", "--to", "6"], ["eq1", "--n", "10"],
+                 ["solve", "--n", "9", "--kind", "bogus"], ["--help"]):
+        run(capsys, *argv)
+    assert built == []
 
 
 class TestCensus:

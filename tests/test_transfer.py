@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import petdom.errors as errors
 import petdom.transfer as transfer
 from petdom import (
     DominationKind,
@@ -23,6 +24,7 @@ from petdom import (
     gamma_t_ref,
     is_valid,
 )
+from petdom.constructions import build_construction
 
 K = DominationKind
 
@@ -498,15 +500,18 @@ class TestIntegerMinimum:
 
 
 class TestSizeGuard:
-    # dp_min materialises O(n) bits, witness and validation arrays, and
-    # dp_minima one int per n in lo..hi
+    # dp_min materialises O(n) bits, witness and validation arrays,
+    # dp_minima one int per n in lo..hi, and build_construction O(n)
+    # membership arrays
     @pytest.mark.parametrize(
         "call",
         [
             lambda: dp_min(2**23 + 1, K.ONE_TWO),
             lambda: dp_minima(10, 10 + 2**23, K.ONE_TWO),
+            lambda: build_construction(2**23 + 1, K.ONE_TWO),
+            lambda: build_construction(2**23 + 1, K.ONE_TWO_TOTAL),
         ],
-        ids=["dp_min", "dp_minima"],
+        ids=["dp_min", "dp_minima", "construction", "construction-total"],
     )
     def test_refused_before_allocating(self, call, monkeypatch):
         # with no cached chain, a guard placed after the chain is built
@@ -524,10 +529,13 @@ class TestSizeGuard:
     def test_bound_is_inclusive(self, monkeypatch):
         # a lowered bound shows the guard refuses more than bound columns,
         # not bound or more
-        monkeypatch.setattr(transfer, "_MAX_N", 20)
+        monkeypatch.setattr(errors, "MAX_COLUMNS", 20)
         assert dp_minima(5, 24, K.ONE_TWO) == [f_one_two(n) for n in range(5, 25)]
         assert dp_min(20, K.ONE_TWO).minimum == f_one_two(20)
+        assert build_construction(20, K.ONE_TWO).size == f_one_two(20)
         with pytest.raises(SizeLimitError):
             dp_minima(5, 25, K.ONE_TWO)
         with pytest.raises(SizeLimitError):
             dp_min(21, K.ONE_TWO)
+        with pytest.raises(SizeLimitError):
+            build_construction(21, K.ONE_TWO)
