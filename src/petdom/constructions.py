@@ -2,9 +2,11 @@
 
 For every n >= 5 these produce a [1,2]-dominating set of size exactly
 f_one_two(n) and a [1,2]-total dominating set of size exactly
-g_one_two_total(n).  Both kinds read one recipe table keyed by n mod 3
-(the residues mod 6 pair up): the middle pair {u_i, v_i} of every third
-column, i = 1 (mod 3), up to a stop column, then a tail.
+g_one_two_total(n).  Each is a ``ColumnForm``: a head, a motif repeated,
+and a tail.  One table of forms, ``_FORMS``, holds every recipe; both
+kinds read its stride rows, keyed by n mod 3 (the residues mod 6 pair
+up): the middle pair {u_i, v_i} of every third column, i = 1 (mod 3),
+then a tail.
 
 * 0, 3: pairs on every third column, no tail.
 * 1, 4: pairs up to column n-3, then the pair {u_{n-2}, v_{n-2}}: one
@@ -22,13 +24,14 @@ their exceptional windows sit at the highest columns:
   u_{n-2}}.  Stride-3 pair cores provably cannot be completed to a
   minimum set in this residue (no valid minimum set of P(13,2) contains
   two middle pairs three columns apart), so the motif was extracted
-  from exact-solver witnesses and machine-validated across the residue
-  class.
+  from exact-solver witnesses.
 
-Every construction is validated at emit time against its predicate and
-its target cardinality, on the same membership arrays it is emitted
-from; a failure raises ConstructionError because these sets serve as
-acceptance oracles elsewhere.
+Every construction is checked at emit time against its target size and
+its predicate; a failure raises ConstructionError because these sets
+serve as acceptance oracles elsewhere.  ``form_is_valid`` decides each
+table entry once, on first use, for every n it serves with at least
+R0 = 1 + ceil(4/q) motif repeats; below that (n <= 18) the set itself is
+checked.  So each construction is proved for every n >= 5.
 """
 
 from __future__ import annotations
@@ -36,12 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .domination import DominationKind, counts
+from .domination import DominationKind, form_is_valid
 from .errors import ConstructionError, ParameterError, check_columns, require_int
 from .formulas import BY_KIND, f_one_two
-from .graph import VertexSet
+from .graph import ColumnForm, VertexSet
 
 __all__ = [
     "ConstructionSource",
@@ -52,8 +53,7 @@ __all__ = [
     "construct_one_two_total",
 ]
 
-# minimum [1,2]-dominating sets for 5 <= n <= 11, (outer indices, inner indices);
-# lists, since a tuple used as an index selects dimensions
+# minimum [1,2]-dominating sets for 5 <= n <= 11, (outer indices, inner indices)
 _SMALL_CASES: dict[int, tuple[list[int], list[int]]] = {
     5: ([1], [1, 3, 4]),
     6: ([1, 4], [1, 4]),
@@ -72,14 +72,31 @@ class ConstructionSource(Enum):
     SOLVER_DERIVED = "solver-derived"
 
 
-_NO_TAIL = np.array([], dtype=np.int64)
-# n mod 3 -> (pairs end below column n - stop, outer and inner tail columns
-# counted back from n, source); see the module docstring
-_STRIDE_RECIPES = {
-    0: (0, _NO_TAIL, _NO_TAIL, ConstructionSource.PERIODIC_PATTERN),
-    1: (2, np.array([2]), np.array([2]), ConstructionSource.SPLICED_PATTERN),
-    2: (3, _NO_TAIL, np.array([2, 1]), ConstructionSource.SPLICED_PATTERN),
+_NONE = (0, 0, 0)
+_PAIRS = (0b010, 0b010, 3)  # the pair {u_1, v_1} of three columns
+# (kind, m, r) -> head, motif, tail and source of the recipe for the n with
+# n = r (mod m), or n = r when m = 0 (a head with no motif repeats); see
+# the module docstring
+_FORMS = {
+    (kind, 3, r): (_NONE, _PAIRS, tail, source)
+    for kind in (DominationKind.ONE_TWO, DominationKind.ONE_TWO_TOTAL)
+    for r, tail, source in (
+        (0, _NONE, ConstructionSource.PERIODIC_PATTERN),
+        (1, (0b0110, 0b0110, 4), ConstructionSource.SPLICED_PATTERN),
+        (2, (0, 0b11, 2), ConstructionSource.SPLICED_PATTERN),
+    )
+} | {
+    (DominationKind.ONE_TWO_TOTAL, 0, 5):
+        ((0b11111, 0, 5), _PAIRS, _NONE, ConstructionSource.SOLVER_DERIVED),
+    (DominationKind.ONE_TWO, 0, 7):  # _SMALL_CASES[7]
+        ((0b10001, 0b1110, 7), _PAIRS, _NONE, ConstructionSource.SMALL_CASE_TABLE),
+    (DominationKind.ONE_TWO, 6, 1): (
+        _NONE, (0b010010, 0b000011, 6), (0b0111000, 0b0000011, 7),
+        ConstructionSource.SPLICED_PATTERN,
+    ),
 }
+# (kind, head, motif, tail) -> form_is_valid from settled repeats on, per table entry
+_SOUND: dict[tuple, bool] = {}
 
 
 @dataclass(frozen=True)
@@ -108,53 +125,39 @@ class Construction:
 def small_case_set(n: int) -> VertexSet:
     """The tabulated minimum [1,2]-dominating set for 5 <= n <= 11."""
     n = require_int("n", n, 5, 11, "small_case_set")
-    U, V = _validate(n, *_SMALL_CASES[n], DominationKind.ONE_TWO, f_one_two(n))
-    return VertexSet.from_arrays(U, V)
+    return _validate(n, *_SMALL_CASES[n], DominationKind.ONE_TWO, f_one_two(n))
 
 
-def _recipe(
-    n: int, kind: DominationKind
-) -> tuple[np.ndarray, np.ndarray, ConstructionSource]:
-    """Column index arrays (outer, inner) and source of the recipe for n >= 5."""
-    if kind is DominationKind.ONE_TWO_TOTAL and n == 5:
-        return np.arange(5), np.arange(0), ConstructionSource.SOLVER_DERIVED
-    if kind is DominationKind.ONE_TWO and n == 7:
-        return *map(np.array, _SMALL_CASES[7]), ConstructionSource.SMALL_CASE_TABLE
-    if kind is DominationKind.ONE_TWO and n % 6 == 1:
-        # period-6 motif on columns 0..n-8, then the seven-column window
-        j = np.arange(0, n - 12, 6)
-        outer = np.r_[j + 1, j + 4, n - 4 : n - 1]
-        return outer, np.r_[j, j + 1, n - 7, n - 6], ConstructionSource.SPLICED_PATTERN
-    stop, outer_tail, inner_tail, source = _STRIDE_RECIPES[n % 3]
-    pairs = np.arange(1, n - stop, 3)
-    return np.r_[pairs, n - outer_tail], np.r_[pairs, n - inner_tail], source
+def _validate(n: int, outer, inner, kind: DominationKind, size: int) -> VertexSet:
+    """The set with the given column indices, checked by ``_checked``."""
+    head = sum(1 << i for i in outer), sum(1 << i for i in inner), n
+    return _checked(ColumnForm(head, _PAIRS, 0, _NONE), kind, size)  # head only
 
 
-def _validate(
-    n: int, outer, inner, kind: DominationKind, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Membership arrays of the set with the given column indices (arrays
-    or lists), checked against the kind and the target size."""
-    U = np.zeros(n, dtype=np.uint8)
-    V = np.zeros(n, dtype=np.uint8)
-    U[outer] = 1
-    V[inner] = 1
-    got = int(U.sum() + V.sum())
-    if got != size:
+def _checked(form: ColumnForm, kind: DominationKind, size: int) -> VertexSet:
+    """The form's set, checked against the target size and the kind.  From
+    settled repeats on, the kind is decided once per table entry."""
+    S = form.vertex_set()
+    if len(S) != size:
         raise ConstructionError(
-            f"{kind.value} construction for n={n} has size {got}, expected {size}"
+            f"{kind.value} construction for n={form.n} has size {len(S)}, expected {size}"
         )
-    cu, cv = counts(n, 2, U, V)
-    if not (kind.accepts(cu, U).all() and kind.accepts(cv, V).all()):
+    key = kind, form.head, form.motif, form.tail
+    if form.repeats < form.settled:
+        sound = form_is_valid(form, kind)
+    elif (sound := _SOUND.get(key)) is None:
+        sound = _SOUND[key] = form_is_valid(form, kind)
+    if not sound:
         raise ConstructionError(
-            f"{kind.value} construction for n={n} failed validation"
+            f"{kind.value} construction for n={form.n} failed validation"
         )
-    return U, V
+    return S
 
 
 def build_construction(n: int, kind: DominationKind) -> Construction:
     """Validated witness construction for ONE_TWO or ONE_TWO_TOTAL; n above
     2^23 is refused with SizeLimitError."""
+    kind = DominationKind.require(kind, "build_construction")
     if not kind.upper_bounded:
         raise ParameterError(
             f"constructions exist for one-two and one-two-total only, "
@@ -162,9 +165,11 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
         )
     n = require_int("n", n, 5, caller=f"construct_{kind.name.lower()}")
     check_columns(n)
-    outer, inner, source = _recipe(n, kind)
-    U, V = _validate(n, outer, inner, kind, BY_KIND[kind](n))
-    return Construction(n, kind, source, VertexSet.from_arrays(U, V))
+    # the most specific entry: for n itself, else for n mod 6, else n mod 3
+    entry = _FORMS.get((kind, 0, n)) or _FORMS.get((kind, 6, n % 6))
+    head, motif, tail, source = entry or _FORMS[kind, 3, n % 3]
+    form = ColumnForm(head, motif, (n - head[2] - tail[2]) // motif[2], tail)
+    return Construction(n, kind, source, _checked(form, kind, BY_KIND[kind](n)))
 
 
 def construct_one_two(n: int) -> VertexSet:

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CensusError, ClassificationImpossibleError, ParameterError, require_int
-from .graph import Block, PetersenGraph, Ring, Vertex, VertexSet
+from .graph import Block, ColumnForm, PetersenGraph, Ring, Vertex, VertexSet
 
 __all__ = [
     "DominationKind",
@@ -42,6 +42,7 @@ __all__ = [
     "domination_count",
     "counts",
     "is_valid",
+    "form_is_valid",
     "gamma_s",
     "blocks_by_count",
     "BlockType",
@@ -81,6 +82,13 @@ class DominationKind(Enum):
         if not self.covers_members:
             ok = ok | (member != 0)
         return ok
+
+    @classmethod
+    def require(cls, value, caller: str) -> "DominationKind":
+        """``value`` if it is a DominationKind, else ParameterError naming caller."""
+        if not isinstance(value, cls):
+            raise ParameterError(f"{caller} requires a DominationKind, got {value!r}")
+        return value
 
     @classmethod
     def from_text(cls, text: str) -> "DominationKind":
@@ -142,6 +150,7 @@ def counts(
 
 def is_valid(g: PetersenGraph, S: VertexSet, kind: DominationKind) -> ValidationReport:
     """Check the domination predicate, listing every offending vertex."""
+    kind = DominationKind.require(kind, "is_valid")
     outer, inner = S.arrays(g.n)
     cu, cv = counts(g.n, g.k, outer, inner)
     violations: list[Violation] = []
@@ -151,6 +160,34 @@ def is_valid(g: PetersenGraph, S: VertexSet, kind: DominationKind) -> Validation
             bound = Bound.TOO_FEW if count < 1 else Bound.TOO_MANY
             violations.append(Violation(Vertex(ring, i), count, bound))
     return ValidationReport(not violations, tuple(violations))
+
+
+def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
+    """Whether ``form``'s set is valid of the kind in P(form.n, 2), n >= 5.
+
+    Column i's vertices pass or fail by the five columns i-2..i+2.  In the
+    cyclic word T H M^r, the rest of a window that meets T or H is a
+    suffix and a prefix of M^r, at most 4 columns in all, so it does not
+    change with r once qr >= 4.  The windows inside M^r start at its first
+    qr - 4 columns, so from r = R0 = ``form.settled`` on (qr >= q + 4)
+    they show every phase of the motif.  Every r >= R0 thus has the
+    windows of R0: the form is checked at R0 and R0 + 1 in place of r,
+    and below R0 as it is.
+    """
+    kind = DominationKind.require(kind, "form_is_valid")
+    parts = form.head, form.motif, form.tail
+    if form.motif[2] < 1 or form.n < 5 or any(o >> w or i >> w for o, i, w in parts):
+        raise ParameterError(
+            f"form_is_valid requires motif width >= 1, each part's bits below "
+            f"its width and n >= 5, got {form}"
+        )
+    low = form.settled
+    for r in [form.repeats] if form.repeats < low else [low, low + 1]:
+        outer, inner = form._replace(repeats=r).arrays()
+        cu, cv = counts(outer.size, 2, outer, inner)
+        if not (kind.accepts(cu, outer).all() and kind.accepts(cv, inner).all()):
+            return False
+    return True
 
 
 def gamma_s(g: PetersenGraph, S: VertexSet, U: VertexSet) -> int:

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "Ring",
     "Vertex",
     "VertexSet",
+    "ColumnForm",
     "BlockSign",
     "Block",
     "Pair",
@@ -237,6 +238,39 @@ class VertexSet:
 
     def text(self) -> str:
         return ",".join(self.names())
+
+
+class ColumnForm(NamedTuple):
+    """A set of P(n,2) as columns from 0 on: head, motif ``repeats`` times,
+    tail.  Each part is (outer bits, inner bits, width), bit i for its
+    column i, and the motif's width is >= 1; the set is int arithmetic."""
+
+    head: tuple[int, int, int]
+    motif: tuple[int, int, int]
+    repeats: int
+    tail: tuple[int, int, int]
+
+    @property
+    def n(self) -> int:
+        return self.head[2] + self.repeats * self.motif[2] + self.tail[2]
+
+    @property
+    def settled(self) -> int:
+        """R0 = 1 + ceil(4/q): from R0 repeats on, the five columns around
+        any column are ones seen at R0 (see domination.form_is_valid)."""
+        return 1 + -(-4 // self.motif[2])
+
+    def vertex_set(self) -> VertexSet:
+        (ho, hi, h), (mo, mi, q), (to, ti, _) = self.head, self.motif, self.tail
+        span = q * self.repeats
+        copies = ((1 << span) - 1) // ((1 << q) - 1)  # bit q*j for j < repeats
+        return VertexSet(
+            ho | mo * copies << h | to << h + span, hi | mi * copies << h | ti << h + span
+        )
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The set's membership arrays at the form's n."""
+        return self.vertex_set().arrays(self.n)
 
 
 class BlockSign(Enum):

@@ -230,6 +230,7 @@ def brute_force_min(
     given, only sets of at most that cardinality are searched and
     InfeasibleError is raised if none is valid.
     """
+    kind = DominationKind.require(kind, "brute_force_min")
     order = 2 * g.n
     if order > BRUTE_FORCE_VERTEX_LIMIT:
         raise SizeLimitError(

@@ -355,6 +355,7 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     the witness is the lexicographically smallest minimum set under the
     canonical vertex order.
     """
+    kind = DominationKind.require(kind, "dp_min")
     n = require_int("n", n, 5, caller="dp_min")
     check_columns(n)
     m = _chain(kind)
@@ -382,6 +383,7 @@ def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:
     Equal to ``[dp_min(n, kind).minimum for n in range(lo, hi + 1)]``,
     read off the kind's cached closed-tour table (see above).
     """
+    kind = DominationKind.require(kind, "dp_minima")
     lo = require_int("lo", lo, 5, caller="dp_minima")
     hi = require_int("hi", hi)
     if lo > hi:

@@ -19,7 +19,9 @@ from petdom.constructions import (
     construct_one_two_total,
     small_case_set,
 )
+from petdom import domination
 from petdom.cli import main
+import petdom.constructions as constructions
 
 K = DominationKind
 
@@ -146,6 +148,73 @@ class TestRecipes:
             _validate(9, [1], [1], K.ONE_TWO, 6)
         with pytest.raises(ConstructionError, match="failed validation"):
             _validate(9, [1, 4, 7], [1, 4, 6], K.ONE_TWO, 6)
+
+
+class TestFormTable:
+    # each mutation, at a small n (the form below R0, its set checked
+    # directly) and near 10^4 (the form checked at R0 and R0 + 1, once)
+    @pytest.mark.parametrize(
+        "key,parts,ns,message",
+        [
+            # drop a tail vertex, v_{n-1}
+            ((K.ONE_TWO, 3, 2), {"tail": (0, 0b01, 2)}, [8, 9998], "has size"),
+            ((K.ONE_TWO_TOTAL, 3, 2), {"tail": (0, 0b01, 2)}, [8, 9998], "has size"),
+            # drop a motif bit, v_{j+1}
+            ((K.ONE_TWO, 6, 1), {"motif": (0b010010, 0b000001, 6)}, [13, 9997], "has size"),
+            # move a tail vertex: v_{n-1} to u_{n-2}, or to u_{n-1}
+            ((K.ONE_TWO, 3, 2), {"tail": (0b01, 0b01, 2)}, [8, 9998], "failed validation"),
+            ((K.ONE_TWO_TOTAL, 3, 2), {"tail": (0b10, 0b01, 2)}, [8, 9998],
+             "failed validation"),
+            # move a motif bit: v_{j+1} to v_{j+2}, or u_{j+1} to u_{j+2}
+            ((K.ONE_TWO, 6, 1), {"motif": (0b010010, 0b000101, 6)}, [13, 9997],
+             "failed validation"),
+            ((K.ONE_TWO_TOTAL, 3, 0), {"motif": (0b100, 0b010, 3)}, [6, 9999],
+             "failed validation"),
+        ],
+    )
+    def test_mutated_entry_is_refused(self, monkeypatch, key, parts, ns, message):
+        entry = dict(zip(("head", "motif", "tail", "source"), constructions._FORMS[key]))
+        monkeypatch.setitem(constructions._FORMS, key, tuple({**entry, **parts}.values()))
+        monkeypatch.setattr(constructions, "_SOUND", {})
+        for n in ns:
+            with pytest.raises(ConstructionError, match=message):
+                build_construction(n, key[0])
+
+    def test_small_n_direct_and_large_n_through_the_checked_form(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_SOUND", {})
+        build_construction(8, K.ONE_TWO)  # 2 < R0 = 3 repeats: not kept
+        assert constructions._SOUND == {}
+        build_construction(9998, K.ONE_TWO)
+        assert list(constructions._SOUND.values()) == [True]
+
+    def test_counts_calls_bounded(self, monkeypatch):
+        # validating each construction on its own set would take 3,992 calls
+        calls = []
+        kernel = domination.counts
+
+        def counting(*args):
+            calls.append(args[0])
+            return kernel(*args)
+
+        monkeypatch.setattr(domination, "counts", counting)
+        monkeypatch.setattr(constructions, "_SOUND", {})
+        for kind in (K.ONE_TWO, K.ONE_TWO_TOTAL):
+            for n in range(5, 2001):
+                build_construction(n, kind)
+        assert 0 < len(calls) <= 100, sorted(calls)
+
+    def test_cache_holds_one_entry_per_table_key(self, monkeypatch):
+        monkeypatch.setattr(constructions, "_SOUND", {})
+        for kind in (K.ONE_TWO, K.ONE_TWO_TOTAL):
+            for n in range(5, 3001):
+                build_construction(n, kind)
+        entries = {
+            (key[0], head, motif, tail)
+            for key, (head, motif, tail, _) in constructions._FORMS.items()
+        }
+        assert set(constructions._SOUND) <= entries
+        assert len(constructions._SOUND) <= len(constructions._FORMS)
+        assert all(constructions._SOUND.values())
 
 
 class TestPinned:

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from petdom import (
@@ -29,6 +29,8 @@ from petdom import (
     is_valid,
 )
 from petdom.constructions import build_construction
+from petdom.domination import form_is_valid
+from petdom.graph import ColumnForm
 
 K = DominationKind
 
@@ -186,6 +188,72 @@ class TestIsValid:
         w = candidates[w_pick % len(candidates)]
         report = is_valid(g, S | VertexSet.of([w]), K.ONE_TWO)
         assert v.name not in {x.vertex.name for x in report.violations}
+
+
+@st.composite
+def column_parts(draw, lo, hi):
+    """(outer bits, inner bits, width): each ring's bits one draw, or the
+    union or intersection of two, so dense and sparse sets both occur."""
+    width = draw(st.integers(lo, hi))
+    mix = draw(st.sampled_from([lambda a, b: a, int.__or__, int.__and__]))
+    bits = st.integers(0, (1 << width) - 1)
+    return mix(draw(bits), draw(bits)), mix(draw(bits), draw(bits)), width
+
+
+@st.composite
+def column_forms(draw):
+    form = ColumnForm(draw(column_parts(0, 6)), draw(column_parts(1, 6)), 0,
+                      draw(column_parts(0, 6)))
+    return form._replace(repeats=draw(st.integers(0, form.settled + 3)))
+
+
+PAIRS = ColumnForm((0, 0, 0), (0b010, 0b010, 3), 5, (0, 0, 0))  # valid for every kind
+
+
+class TestFormIsValid:
+    """The form's verdict, read at R0 and R0 + 1 from R0 repeats on, is
+    is_valid's on the form's own set, whatever the repeat count."""
+
+    @settings(max_examples=400)
+    @given(form=column_forms(), kind=st.sampled_from(K))
+    @example(form=PAIRS, kind=K.ONE_TWO_TOTAL)
+    @example(form=PAIRS._replace(tail=(0, 0b11, 2)), kind=K.ONE_TWO_TOTAL)
+    @example(form=PAIRS._replace(tail=(0, 0b01, 2)), kind=K.ONE_TWO_TOTAL)
+    @example(form=PAIRS._replace(tail=(0b11, 0b11, 2)), kind=K.ONE_TWO)
+    @example(form=PAIRS._replace(tail=(0b111, 0b111, 3)), kind=K.ONE_TWO_TOTAL)
+    # valid at one repeat, not from R0 = 2 on: one motif phase shows only then
+    @example(form=ColumnForm((0, 0, 0), (0, 0b0110, 4), 2, (1, 0, 1)), kind=K.PLAIN)
+    def test_matches_is_valid(self, form, kind):
+        if form.n < 5:
+            return
+        g = build_petersen(form.n, 2)
+        assert form_is_valid(form, kind) == is_valid(g, form.vertex_set(), kind).valid
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            ColumnForm((0, 0, 0), (0b1, 0b1, 1), 4, (0, 0, 0)),  # n = 4
+            ColumnForm((0b11111, 0, 5), (0, 0, 0), 3, (0, 0, 0)),  # motif width 0
+            ColumnForm((0, 0, 0), (0b010, 0b1010, 3), 3, (0, 0, 0)),  # v_3 in a motif of 3
+            ColumnForm((0, 0, 0), (0b010, 0b010, 3), 3, (0b100, 0, 2)),  # u_2 in a tail of 2
+        ],
+    )
+    def test_refuses_forms_outside_the_argument(self, form):
+        with pytest.raises(ParameterError, match="form_is_valid requires motif width"):
+            form_is_valid(form, K.PLAIN)
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_table_forms_at_every_repeat_count(self, kind):
+        # valid and invalid verdicts both occur, at repeats below, at and past R0
+        seen = set()
+        for tail in [(0, 0, 0), (0, 0b11, 2), (0, 0b01, 2), (0b0110, 0b0110, 4)]:
+            for r in range(1, 9):
+                form = PAIRS._replace(repeats=r, tail=tail)
+                if form.n >= 5:
+                    want = is_valid(build_petersen(form.n, 2), form.vertex_set(), kind)
+                    assert form_is_valid(form, kind) == want.valid
+                    seen.add(want.valid)
+        assert seen == {True, False}
 
 
 class TestGammaS:

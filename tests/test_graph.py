@@ -349,6 +349,30 @@ class TestVertexSetModel:
         assert S.arrays(10)[1].tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 1]
 
 
+class TestColumnForm:
+    @given(
+        parts=st.lists(
+            st.tuples(st.integers(0, 63), st.integers(0, 63), st.integers(0, 6)),
+            min_size=3, max_size=3,
+        ),
+        repeats=st.integers(0, 7),
+    )
+    def test_vertex_set_is_the_columns_laid_end_to_end(self, parts, repeats):
+        head, motif, tail = [(o % (1 << w), i % (1 << w), w) for o, i, w in parts]
+        motif = motif if motif[2] else (motif[0], motif[1], 1)
+        form = graph.ColumnForm(head, motif, repeats, tail)
+        vertices, start = set(), 0
+        for o, i, w in [head, *[motif] * repeats, tail]:
+            vertices |= {Vertex(Ring.OUTER, start + j) for j in range(w) if o >> j & 1}
+            vertices |= {Vertex(Ring.INNER, start + j) for j in range(w) if i >> j & 1}
+            start += w
+        assert form.n == start
+        assert form.vertex_set() == VertexSet.of(vertices)
+        assert [a.tolist() for a in form.arrays()] == [
+            a.tolist() for a in VertexSet.of(vertices).arrays(start)
+        ]
+
+
 class TestRanks:
     @pytest.mark.parametrize("n,k", [(3, 1), (5, 2), (9, 2), (10, 3), (13, 4), (14, 6)])
     def test_numbering_and_neighbor_ranks(self, n, k):

@@ -1,6 +1,8 @@
-"""The integer-parameter contract: every public integer parameter goes
-through ``errors.require_int``, so int and numpy integers give the same
-result, with Python ints inside, and anything else is a ParameterError."""
+"""The parameter contracts.  Every public integer parameter goes through
+``errors.require_int``, so int and numpy integers give the same result,
+with Python ints inside, and anything else is a ParameterError.  Every
+public kind parameter goes through ``DominationKind.require``, so anything
+but a DominationKind is a ParameterError naming the caller."""
 
 import dataclasses
 import inspect
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 import petdom
 import petdom.constructions as constructions
+import petdom.domination as domination
 from petdom import (
     ComponentCensus,
     DominationKind,
@@ -33,9 +36,11 @@ from petdom import (
     g_one_two_total,
     gamma_ref,
     gamma_t_ref,
+    is_valid,
     parse_vertex,
 )
 from petdom.errors import require_int
+from petdom.graph import ColumnForm
 
 K = DominationKind
 G = PetersenGraph(9)
@@ -236,6 +241,47 @@ def test_numpy_n_gives_python_ints():
     g = PetersenGraph(np.int64(6))
     assert type(g.n) is int and type(g.k) is int
     assert brute_force_min(g, K.PLAIN) == brute_force_min(PetersenGraph(6), K.PLAIN)
+
+
+# every public function with a DominationKind parameter -> the call with kind k
+KIND_CALLS = {
+    "brute_force_min": lambda k: brute_force_min(G8, k),
+    "build_construction": lambda k: constructions.build_construction(13, k),
+    "dp_min": lambda k: dp_min(13, k),
+    "dp_minima": lambda k: dp_minima(5, 9, k),
+    "form_is_valid": lambda k: domination.form_is_valid(
+        ColumnForm((0, 0, 0), (0b010, 0b010, 3), 3, (0, 0, 0)), k
+    ),
+    "is_valid": lambda k: is_valid(G, VertexSet(0b10, 0b10), k),
+}
+
+
+def test_kind_table_covers_every_kind_parameter():
+    found = set()
+    for module in (petdom, constructions, domination):
+        for name in module.__all__:
+            fn = getattr(module, name)
+            if inspect.isfunction(fn) and any(
+                p.annotation == "DominationKind"
+                for p in inspect.signature(fn).parameters.values()
+            ):
+                found.add(name)
+    assert found == set(KIND_CALLS)
+
+
+@pytest.mark.parametrize("caller", sorted(KIND_CALLS))
+@pytest.mark.parametrize("kind", ["one-two", "ONE_TWO", None, 2, K, [K.ONE_TWO]])
+def test_kind_contract(caller, kind):
+    with pytest.raises(ParameterError) as info:
+        KIND_CALLS[caller](kind)
+    assert str(info.value) == f"{caller} requires a DominationKind, got {kind!r}"
+
+
+@pytest.mark.parametrize("caller", sorted(KIND_CALLS))
+def test_kind_members_pass(caller):
+    for kind in K:
+        if caller != "build_construction" or kind.upper_bounded:
+            KIND_CALLS[caller](kind)
 
 
 class TestRequireInt:
