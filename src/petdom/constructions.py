@@ -95,6 +95,8 @@ _FORMS = {
         ConstructionSource.SPLICED_PATTERN,
     ),
 }
+# the caller named when build_construction refuses n
+_CALLERS = {kind: f"construct_{kind.name.lower()}" for kind in DominationKind}
 # (kind, head, motif, tail) -> form_is_valid from settled repeats on, per table entry
 _SOUND: dict[tuple, bool] = {}
 
@@ -163,7 +165,7 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
             f"constructions exist for one-two and one-two-total only, "
             f"got {kind.value}"
         )
-    n = require_int("n", n, 5, caller=f"construct_{kind.name.lower()}")
+    n = require_int("n", n, 5, caller=_CALLERS[kind])
     check_columns(n)
     # the most specific entry: for n itself, else for n mod 6, else n mod 3
     entry = _FORMS.get((kind, 0, n)) or _FORMS.get((kind, 6, n % 6))

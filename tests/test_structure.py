@@ -56,3 +56,60 @@ def test_domination_builds_no_per_block_sets():
         ):
             found.append(("gamma_s", node.lineno))
     assert found == []
+
+
+def _method(tree, cls, name):
+    (node,) = (
+        item
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == cls
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == name
+    )
+    return node
+
+
+def _fast_path(func):
+    """The branch of from_names taken when all names match _NAMES_RE."""
+    (node,) = (
+        node
+        for node in ast.walk(func)
+        if isinstance(node, ast.If)
+        and any(
+            isinstance(sub, ast.Attribute)
+            and sub.attr == "fullmatch"
+            and isinstance(sub.value, ast.Name)
+            and sub.value.id == "_NAMES_RE"
+            for sub in ast.walk(node.test)
+        )
+    )
+    return node
+
+
+def test_name_codec_takes_no_step_per_name():
+    # names are rendered and parsed as whole arrays: no comprehension,
+    # f-string, map or loop over names; the one loop runs over digit positions
+    tree = _tree("graph.py")
+    parts = {
+        "names": _method(tree, "VertexSet", "names"),
+        "text": _method(tree, "VertexSet", "text"),
+        "from_names fast path": _fast_path(_method(tree, "VertexSet", "from_names")),
+    }
+    per_name = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.JoinedStr,
+                ast.While, ast.AsyncFor, ast.Lambda)
+    found, loops = [], {}
+    for part, body in parts.items():
+        for node in ast.walk(body):
+            if isinstance(node, per_name):
+                found.append((part, type(node).__name__, node.lineno))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in {
+                "map", "filter", "sorted", "list",
+            }:
+                found.append((part, node.func.id, node.lineno))
+            elif isinstance(node, ast.For):
+                loops[part] = loops.get(part, 0) + 1
+                over = node.iter
+                if not (isinstance(over, ast.Call) and getattr(over.func, "id", None) == "range"):
+                    found.append((part, "for", node.lineno))
+    assert found == []
+    assert loops == {"text": 1, "from_names fast path": 1}
