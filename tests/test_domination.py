@@ -559,3 +559,36 @@ class TestPinned:
     def test_random_sets(self):
         digest = _digest(_random_sets(), _block_lines, _walk_lines)
         assert digest == "720bf40feb2e181735d2c82918cf22b0e77c51f6fffa755bb01f511b2e99dd7c"
+
+
+class TestObjectsPinned:
+    # recorded while blocks and components held Vertex tuples: a change of
+    # repr, vertex order, sign or block equality fails here
+    def test_block_repr(self):
+        g = build_petersen(12, 2)
+        assert repr(g.block_at(0)) == (
+            "Block(center=0, vertices=(Vertex(u0), Vertex(u1), Vertex(u11), "
+            "Vertex(v0), Vertex(v1), Vertex(v11)), sign=<BlockSign.POSITIVE: 'positive'>)"
+        )
+        assert repr(g.block_at(7)) == (
+            "Block(center=7, vertices=(Vertex(u6), Vertex(u7), Vertex(u8), "
+            "Vertex(v6), Vertex(v7), Vertex(v8)), sign=<BlockSign.NEGATIVE: 'negative'>)"
+        )
+
+    def test_component_repr(self):
+        from petdom.constructions import construct_one_two_total
+
+        g = build_petersen(13, 2)
+        got = [repr(c) for c in induced_components(g, construct_one_two_total(13))]
+        assert got == [
+            "Component(kind='path', vertices=(Vertex(u1), Vertex(v1)))",
+            "Component(kind='path', vertices=(Vertex(u4), Vertex(v4)))",
+            "Component(kind='path', vertices=(Vertex(u7), Vertex(v7)))",
+            "Component(kind='path', vertices=(Vertex(v10), Vertex(u10), "
+            "Vertex(u11), Vertex(v11)))",
+        ]
+
+    @pytest.mark.parametrize("n", range(5, 21))
+    def test_blocks_are_block_at(self, n):
+        g = build_petersen(n, 2)
+        assert list(g.blocks()) == [g.block_at(i) for i in range(n)]
