@@ -1,8 +1,8 @@
 """Domination theory toolkit for generalized Petersen graphs P(n,2).
 
 Closed-form domination numbers, explicit witness constructions, two
-independent exact solvers, and the combinatorial artifacts (blocks, pair
-profiles, component censuses) needed to verify them against each other.
+independent exact solvers, and the proof artifacts (blocks by member
+count, per-column pair profiles, component censuses) that check them.
 """
 
 from .domination import (
@@ -20,7 +20,6 @@ from .domination import (
     classify_singleton_block,
     component_census,
     domination_count,
-    gamma_s,
     induced_components,
     is_valid,
 )
@@ -38,7 +37,6 @@ from .formulas import f_one_two, g_one_two_total, gamma_ref, gamma_t_ref
 from .graph import (
     Block,
     BlockSign,
-    Pair,
     PetersenGraph,
     Ring,
     Vertex,
@@ -76,7 +74,6 @@ __all__ = [
     "InequalityCheck",
     "InfeasibleError",
     "InternalError",
-    "Pair",
     "PairProfile",
     "ParameterError",
     "PetdomError",
@@ -103,7 +100,6 @@ __all__ = [
     "f_one_two",
     "g_one_two_total",
     "gamma_ref",
-    "gamma_s",
     "gamma_t_ref",
     "induced_components",
     "is_valid",

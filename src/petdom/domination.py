@@ -16,12 +16,12 @@ force and the transfer DP apply ``accepts`` to their own running counts.
 tests can assert exact violation sets.  Counts are recomputed from
 scratch on each call; nothing is cached.
 
-On top of the validators sit the proof artifacts for P(n,2):
-gamma_s counts, the bucketing of blocks by |block & S|, the
-classification of blocks containing exactly one member of S, and the
-path/cycle census of the subgraph induced by a [1,2]-total dominating
-set together with its counting inequalities.  These get c from ``counts``
-too, walk G[S] by rank and build Vertex and Block objects only to return.
+On top of the validators sit the proof artifacts for P(n,2): the
+bucketing of blocks by |block & S|, the classification of blocks
+containing exactly one member of S, and the path/cycle census of the
+subgraph induced by a [1,2]-total dominating set together with its
+counting inequalities.  These get c from ``counts`` too, walk G[S] by rank
+and return blocks and components of ints, whose ``vertices`` come on demand.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
     "counts",
     "is_valid",
     "form_is_valid",
-    "gamma_s",
     "blocks_by_count",
     "BlockType",
     "classify_singleton_block",
@@ -190,11 +189,6 @@ def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
     return True
 
 
-def gamma_s(g: PetersenGraph, S: VertexSet, U: VertexSet) -> int:
-    """|U & S|."""
-    return len(U & S)
-
-
 def blocks_by_count(g: PetersenGraph, S: VertexSet) -> dict[int, list[Block]]:
     """Bucket the n blocks of P(n,2) by |block & S|.
 
@@ -238,33 +232,39 @@ _PLACEMENTS = {
 
 
 def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockType:
-    """Classify a block with exactly one member of S.
+    """Classify a block of g with exactly one member of S.
 
-    Raises ParameterError when |b & S| != 1 and
-    ClassificationImpossibleError when the unique member is v_{i-1} or
-    v_{i+1}, which would leave the block's central vertex undominated
-    and therefore contradicts S being a valid [1,2]-dominating set.
+    Raises ParameterError when g has k != 2, b is a block of another n or
+    |b & S| != 1, and ClassificationImpossibleError when the unique member
+    is v_{i-1} or v_{i+1}, which would leave the block's central vertex
+    undominated and therefore contradicts S being a valid
+    [1,2]-dominating set.
     """
-    hit = {v for v in b.vertices if v in S}
+    g._require_k2("classify_singleton_block")
+    if b.n != g.n:
+        raise ParameterError(f"block of P({b.n},2) given for P({g.n},2)")
+    n, i = g.n, b.center
+    hit = [(ring, d) for ring, mask in zip(Ring, (S.outer, S.inner))
+           for d in (-1, 0, 1) if mask >> (i + d) % n & 1]
     if len(hit) != 1:
         raise ParameterError(
-            f"block centered at {b.center} has gamma_S = {len(hit)}, expected 1"
+            f"block centered at {i} has gamma_S = {len(hit)}, expected 1"
         )
-    (member,) = hit
-    i = b.center
-    placement = _PLACEMENTS.get((member.ring, (member.index - i + 1) % g.n - 1))
+    ((ring, d),) = hit
+    placement = _PLACEMENTS.get((ring, d))
     if placement is not None:
         return placement
     raise ClassificationImpossibleError(
-        f"singleton block centered at {i} holds only {member.name}, which "
-        f"cannot dominate the central vertex u{i}; S is not a valid "
+        f"singleton block centered at {i} holds only {ring.value}{(i + d) % n}, "
+        f"which cannot dominate the central vertex u{i}; S is not a valid "
         f"[1,2]-dominating set"
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Component:
-    """A connected component of the induced subgraph G[S].
+    """A connected component of the induced subgraph G[S] of a graph on
+    n columns, as the ranks of its members (see PetersenGraph.rank).
 
     kind is "path" or "cycle".  Path vertices run end to end starting
     from the canonically smaller endpoint; cycle vertices start at the
@@ -272,11 +272,21 @@ class Component:
     """
 
     kind: str
-    vertices: tuple[Vertex, ...]
+    ranks: tuple[int, ...]
+    n: int
 
     @property
     def order(self) -> int:
-        return len(self.vertices)
+        return len(self.ranks)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        n = self.n
+        return tuple(Vertex(Ring.OUTER, r) if r < n else Vertex(Ring.INNER, r - n)
+                     for r in self.ranks)
+
+    def __repr__(self) -> str:
+        return f"Component(kind={self.kind!r}, vertices={self.vertices})"
 
 
 def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
@@ -291,25 +301,25 @@ def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
     bad = np.flatnonzero(member & ((degree == 0) | (degree == 3)))
     if bad.size:
         r = int(bad[0])
+        ring, i = (Ring.OUTER, r) if r < n else (Ring.INNER, r - n)
         raise CensusError(
-            f"vertex {g.vertex(r).name} has induced degree {degree[r]}; the "
+            f"vertex {ring.value}{i} has induced degree {degree[r]}; the "
             f"input set is not [1,2]-total dominating"
         )
-    inside = member.tolist()
-
-    def near(r: int, prev: int = -1) -> list[int]:  # ascending
-        return [w for w in g.neighbor_ranks(r) if inside[w] and w != prev]
+    # each rank's neighbors in S ascending, then ``end`` for the ones outside
+    end, table = 2 * n, g.neighbor_table()
+    near = np.sort(np.where(member[table] != 0, table, end), axis=1)
+    first, second = near[:, 0].tolist(), near[:, 1].tolist()
 
     def arm(start: int, cur: int) -> tuple[list[int], bool]:
         """The members from cur on, walking away from start, up to a path
         end (False) or back to start (True)."""
         walk, prev = [], start
         while cur != start:
-            walk.append(cur)
-            ahead = near(cur, prev)
-            if not ahead:
+            if cur == end:
                 return walk, False
-            prev, cur = cur, ahead[0]
+            walk.append(cur)
+            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
         return walk, True
 
     seen: set[int] = set()
@@ -318,15 +328,14 @@ def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
     for start in np.flatnonzero(member).tolist():
         if start in seen:
             continue
-        first = near(start)
-        walk, closed = arm(start, first[0])  # toward the smaller neighbor
-        back = arm(start, first[1])[0] if len(first) == 2 and not closed else []
+        walk, closed = arm(start, first[start])  # toward the smaller neighbor
+        back = [] if closed else arm(start, second[start])[0]
         walk = back[::-1] + [start] + walk
         if walk[-1] < walk[0]:  # a path runs from its smaller end
             walk.reverse()
         seen.update(walk)
         kind = "cycle" if closed else "path"
-        components.append(Component(kind, tuple(map(g.vertex, walk))))
+        components.append(Component(kind, tuple(walk), n))
     return components
 
 

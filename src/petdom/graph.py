@@ -4,7 +4,7 @@ The graph P(n,k) has outer vertices u_0..u_{n-1} forming a cycle, inner
 vertices v_0..v_{n-1}, spokes u_i-v_i and inner skip edges v_i-v_{i+k}
 (all indices modulo n).  A graph is just the pair (n, k): vertices are
 numbered by rank in canonical order (u_i is rank i, v_i rank n + i), and
-``neighbor_ranks`` is the one adjacency rule, O(1) arithmetic at any n.
+``neighbor_ranks`` (all ranks at once: ``neighbor_table``) is the adjacency.
 
 Every layer shares one vertex-set representation, two bitmasks (see
 ``VertexSet``), and walks ranks; ``Vertex`` objects are built only at the
@@ -12,11 +12,10 @@ edges: parsing a single name, the results of queries and the derived
 views of a set.  Names are rendered and parsed as whole byte arrays, with no
 Python step per name (on 2 cores, 6,665 names: 0.15 ms out, 0.5 ms in).
 
-Two proof-oriented partitions of P(n,2) are exposed as queryable objects:
-
-* blocks: six-vertex windows {v_{i-1}, v_i, v_{i+1}, u_{i-1}, u_i, u_{i+1}}
-  centered at each column i, signed by the parity of their inner indices;
-* pairs: the columns p_i = {u_i, v_i}.
+The proof-oriented blocks of P(n,2) are six-vertex windows
+{v_{i-1}, v_i, v_{i+1}, u_{i-1}, u_i, u_{i+1}} centered at each column i,
+signed by the parity of their inner indices.  A block is just (n, i); its
+sign and vertices are derived when asked.
 
 Everything here is immutable after construction and safe for unrestricted
 concurrent use.
@@ -27,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -40,7 +39,6 @@ __all__ = [
     "ColumnForm",
     "BlockSign",
     "Block",
-    "Pair",
     "PetersenGraph",
     "build_petersen",
     "parse_vertex",
@@ -78,11 +76,8 @@ class Vertex:
     def name(self) -> str:
         return f"{self.ring.value}{self.index}"
 
-    def sort_key(self) -> tuple[int, int]:
-        return (0 if self.ring is Ring.OUTER else 1, self.index)
-
     def __lt__(self, other: "Vertex") -> bool:
-        return self.sort_key() < other.sort_key()
+        return (self.ring is Ring.INNER, self.index) < (other.ring is Ring.INNER, other.index)
 
     def __repr__(self) -> str:
         return f"Vertex({self.name})"
@@ -301,40 +296,33 @@ class BlockSign(Enum):
     NEGATIVE = "negative"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Block:
-    """The six-vertex window centered at column i of P(n,2).
+    """The six-vertex window centered at column ``center`` in [0, n) of P(n,2).
 
     sign is POSITIVE exactly when two of the residues {i-1, i, i+1}
-    (representatives in [0, n)) are odd.  Blocks overlap; the
-    non-overlapping tiling used in arguments about consecutive blocks
-    shifts the center by 3 (see PetersenGraph.blocks_stride3).
+    (representatives in [0, n)) are odd.  Blocks overlap, and blocks of
+    different graphs are never equal.
     """
 
+    n: int
     center: int
-    vertices: tuple[Vertex, ...]
-    sign: BlockSign
 
     @property
-    def vertex_set(self) -> VertexSet:
-        return VertexSet.of(self.vertices)
-
-
-@dataclass(frozen=True)
-class Pair:
-    """The column p_i = {u_i, v_i}.  The n pairs partition the vertices."""
-
-    index: int
-    outer: Vertex
-    inner: Vertex
+    def sign(self) -> BlockSign:
+        n, i = self.n, self.center
+        odd = (i - 1) % n % 2 + i % 2 + (i + 1) % n % 2
+        return BlockSign.POSITIVE if odd == 2 else BlockSign.NEGATIVE
 
     @property
-    def vertices(self) -> tuple[Vertex, Vertex]:
-        return (self.outer, self.inner)
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The outer then the inner vertices, each by ascending index."""
+        n, i = self.n, self.center
+        columns = sorted(((i - 1) % n, i, (i + 1) % n))
+        return tuple(Vertex(ring, c) for ring in Ring for c in columns)
 
-    @property
-    def vertex_set(self) -> VertexSet:
-        return VertexSet.of(self.vertices)
+    def __repr__(self) -> str:
+        return f"Block(center={self.center}, vertices={self.vertices}, sign={self.sign!r})"
 
 
 @dataclass(frozen=True)
@@ -359,14 +347,6 @@ class PetersenGraph:
 
     # -- basic structure ------------------------------------------------
 
-    @property
-    def vertex_count(self) -> int:
-        return 2 * self.n
-
-    @property
-    def edge_count(self) -> int:
-        return 3 * self.n
-
     def outer(self, i: int) -> Vertex:
         return Vertex(Ring.OUTER, require_int("i", i) % self.n)
 
@@ -380,12 +360,9 @@ class PetersenGraph:
     def vertex_set(self) -> VertexSet:
         return VertexSet.of(self.vertices())
 
-    def contains(self, v: Vertex) -> bool:
-        return 0 <= v.index < self.n
-
     def rank(self, v: Vertex) -> int:
         """v's position in canonical order: u_i has rank i, v_i rank n + i."""
-        if not self.contains(v):
+        if not 0 <= v.index < self.n:
             raise ParameterError(f"vertex {v.name} has index outside [0, {self.n})")
         return v.index if v.ring is Ring.OUTER else self.n + v.index
 
@@ -405,12 +382,16 @@ class PetersenGraph:
         a, b = n + (i - self.k) % n, n + (i + self.k) % n
         return (i, a, b) if a < b else (i, b, a)
 
+    def neighbor_table(self) -> np.ndarray:
+        """The (2n, 3) array whose row r is ``neighbor_ranks(r)``."""
+        n, k, i = self.n, self.k, np.arange(self.n)
+        outer = np.stack(((i - 1) % n, (i + 1) % n, n + i), axis=1)
+        inner = np.stack((i, n + (i - k) % n, n + (i + k) % n), axis=1)
+        return np.sort(np.concatenate((outer, inner)), axis=1)
+
     def neighbors(self, v: Vertex) -> list[Vertex]:
         """The three neighbors of v, canonically sorted."""
         return [self.vertex(r) for r in self.neighbor_ranks(self.rank(v))]
-
-    def adjacent(self, a: Vertex, b: Vertex) -> bool:
-        return b in self.neighbors(a)
 
     # -- proof partitions (k = 2 only) ----------------------------------
 
@@ -421,38 +402,12 @@ class PetersenGraph:
     def block_at(self, i: int) -> Block:
         """The block centered at column i (reduced mod n); needs k=2."""
         self._require_k2("block_at")
-        return self._block(require_int("i", i) % self.n, self.vertex)
+        return Block(self.n, require_int("i", i) % self.n)
 
     def blocks(self) -> Iterator[Block]:
-        """All n (overlapping) blocks, by ascending center.  They share
-        one Vertex object per vertex."""
+        """All n (overlapping) blocks, by ascending center; needs k=2."""
         self._require_k2("block_at")
-        by_rank = list(self.vertices()).__getitem__
-        for i in range(self.n):
-            yield self._block(i, by_rank)
-
-    def _block(self, i: int, vertex: Callable[[int], Vertex]) -> Block:
-        """The block centered at column i in [0, n), its vertices got by rank."""
-        n = self.n
-        a, b, c = sorted(((i - 1) % n, i, (i + 1) % n))
-        sign = BlockSign.POSITIVE if a % 2 + b % 2 + c % 2 == 2 else BlockSign.NEGATIVE
-        return Block(i, tuple(map(vertex, (a, b, c, n + a, n + b, n + c))), sign)
-
-    def blocks_stride3(self, start: int = 1) -> Iterator[Block]:
-        """Blocks at centers start, start+3, start+6, ... covering every
-        column.  When 3 | n this is the non-overlapping tiling in which
-        each block's right neighbor is the next one; otherwise the last
-        window wraps past the first."""
-        start = require_int("start", start)
-        return (self.block_at(start + 3 * t) for t in range(-(-self.n // 3)))
-
-    def pair_at(self, i: int) -> Pair:
-        """The pair {u_i, v_i}; the index is reduced mod n."""
-        i = require_int("i", i) % self.n
-        return Pair(i, Vertex(Ring.OUTER, i), Vertex(Ring.INNER, i))
-
-    def pairs(self) -> Iterator[Pair]:
-        return map(self.pair_at, range(self.n))
+        return (Block(self.n, i) for i in range(self.n))
 
 
 def build_petersen(n: int, k: int) -> PetersenGraph:

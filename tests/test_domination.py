@@ -24,7 +24,6 @@ from petdom import (
     classify_singleton_block,
     component_census,
     domination_count,
-    gamma_s,
     induced_components,
     is_valid,
 )
@@ -118,7 +117,7 @@ class TestIsValid:
         g = build_petersen(7, 2)
         report = is_valid(g, g.vertex_set(), K.ONE_TWO_TOTAL)
         assert not report.valid
-        assert len(report.violations) == g.vertex_count
+        assert len(report.violations) == 2 * g.n
         assert all(
             w.count == 3 and w.bound is Bound.TOO_MANY for w in report.violations
         )
@@ -181,7 +180,7 @@ class TestIsValid:
         candidates = [
             w
             for w in g.vertices()
-            if w not in S and w != v and not g.adjacent(v, w)
+            if w not in S and w != v and w not in g.neighbors(v)
         ]
         if not candidates:
             return
@@ -256,24 +255,6 @@ class TestFormIsValid:
         assert seen == {True, False}
 
 
-class TestGammaS:
-    def test_block_intersection(self):
-        g = build_petersen(5, 2)
-        block = g.block_at(4)
-        # oracle: direct set intersection
-        expected = len(set(block.vertices) & S5.members)
-        assert expected == 2
-        assert gamma_s(g, S5, block.vertex_set) == expected
-
-    def test_empty_u(self):
-        g = build_petersen(5, 2)
-        assert gamma_s(g, S5, VertexSet.of([])) == 0
-
-    def test_full_u(self):
-        g = build_petersen(5, 2)
-        assert gamma_s(g, S5, g.vertex_set()) == len(S5)
-
-
 class TestBlocksByCount:
     def test_s6_all_blocks_two(self):
         g = build_petersen(6, 2)
@@ -296,6 +277,13 @@ class TestBlocksByCount:
         g, S = random_subset(n, bits)
         buckets = blocks_by_count(g, S)
         assert sum(len(v) for v in buckets.values()) == n
+
+    @given(n=st.integers(5, 16), bits=st.lists(st.booleans(), min_size=32, max_size=32))
+    def test_buckets_match_block_intersections(self, n, bits):
+        # oracle: direct set intersection of each block's vertices with S
+        g, S = random_subset(n, bits)
+        got = {b.center: c for c, bucket in blocks_by_count(g, S).items() for b in bucket}
+        assert got == {b.center: len(set(b.vertices) & S.members) for b in g.blocks()}
 
     def test_bucket0_empty_for_valid_sets(self):
         from petdom.constructions import construct_one_two
@@ -343,6 +331,33 @@ class TestClassifySingletonBlock:
         S = VertexSet.from_names("v3", 9)  # v_{i-1} of the block at 4
         with pytest.raises(ClassificationImpossibleError):
             classify_singleton_block(g, S, g.block_at(4))
+
+    def test_rejects_block_of_another_graph(self):
+        # centre 12 is not a column of P(12,2)
+        g = build_petersen(12, 2)
+        S = VertexSet.from_names("u11", 12)
+        with pytest.raises(ParameterError, match=r"block of P\(28,2\) given for P\(12,2\)"):
+            classify_singleton_block(g, S, build_petersen(28, 2).block_at(12))
+
+    @given(n=st.integers(5, 14), m=st.integers(5, 30), i=st.integers(0, 29),
+           bits=st.lists(st.booleans(), min_size=32, max_size=32))
+    def test_foreign_blocks_refused(self, n, m, i, bits):
+        g, S = random_subset(n, bits)
+        b = build_petersen(m, 2).block_at(i)
+        if m == n:
+            assert b == g.block_at(i)
+        else:
+            assert b != g.block_at(i)
+            with pytest.raises(ParameterError, match="given for"):
+                classify_singleton_block(g, S, b)
+
+    def test_requires_k2(self):
+        # u4 is the one member of the block at 4, but P(11,3) has no blocks
+        S = VertexSet.from_names("u4", 11)
+        block = build_petersen(11, 2).block_at(4)
+        assert classify_singleton_block(build_petersen(11, 2), S, block) is BlockType.CENTER_OUTER
+        with pytest.raises(ParameterError, match="k = 2"):
+            classify_singleton_block(build_petersen(11, 3), S, block)
 
     def test_total_over_brute_witnesses(self):
         from petdom import brute_force_min

@@ -60,8 +60,6 @@ CALLS = {
     "PetersenGraph.outer:i": (G.outer, ints(-20, 20)),
     "PetersenGraph.inner:i": (G.inner, ints(-20, 20)),
     "PetersenGraph.block_at:i": (G.block_at, ints(-20, 20)),
-    "PetersenGraph.blocks_stride3:start": (G.blocks_stride3, ints(-20, 20)),
-    "PetersenGraph.pair_at:i": (G.pair_at, ints(-20, 20)),
     "PetersenGraph.vertex:r": (G.vertex, ints(-2, 20)),
     "PetersenGraph.neighbor_ranks:r": (G.neighbor_ranks, ints(-2, 20)),
     "VertexSet:outer": (lambda v: VertexSet(v, 0b101), ints(-2, 40)),
@@ -99,13 +97,13 @@ CALLS = {
 }
 
 # value types whose int fields the package fills in itself: their
-# constructors take data, not parameters, and are not checked (Vertex,
-# Block and Pair are built per vertex on hot paths)
+# constructors take data, not parameters, and are not checked (Vertex is
+# built per member, Block per column and Component per piece of G[S])
 RECORDS = {
     "Block",
+    "Component",
     "Construction",
     "InequalityCheck",
-    "Pair",
     "SolveResult",
     "Vertex",
     "Violation",

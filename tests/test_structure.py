@@ -1,5 +1,6 @@
 """Layering guards: adjacency is asked of graph.py only, and the proof
-artifacts in domination.py work from the count kernel, not per-block sets."""
+artifacts in domination.py work from the count kernel and ranks, not
+per-block sets or per-member Vertex objects."""
 
 import ast
 from pathlib import Path
@@ -49,13 +50,16 @@ def test_domination_builds_no_per_block_sets():
             and node.value.id == "VertexSet"
         ):
             found.append(("VertexSet.of", node.lineno))
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "gamma_s"
-        ):
-            found.append(("gamma_s", node.lineno))
     assert found == []
+
+
+def _function(tree, name):
+    (node,) = (
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+    return node
 
 
 def _method(tree, cls, name):
@@ -113,3 +117,22 @@ def test_name_codec_takes_no_step_per_name():
                     found.append((part, "for", node.lineno))
     assert found == []
     assert loops == {"text": 1, "from_names fast path": 1}
+
+
+def test_blocks_and_components_build_no_vertex():
+    # blocks and components are ints; Vertex objects are built only when a
+    # caller reads .vertices, never by the artifacts themselves
+    domination, graph = _tree("domination.py"), _tree("graph.py")
+    parts = {
+        name: _function(domination, name)
+        for name in ("blocks_by_count", "induced_components", "component_census")
+    }
+    parts["PetersenGraph.blocks"] = _method(graph, "PetersenGraph", "blocks")
+    found = []
+    for part, body in parts.items():
+        for node in ast.walk(body):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Vertex":
+                found.append((part, "Vertex(", node.lineno))
+            elif isinstance(node, ast.Attribute) and node.attr in ("vertex", "vertices"):
+                found.append((part, f".{node.attr}", node.lineno))
+    assert found == []
