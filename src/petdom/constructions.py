@@ -16,7 +16,7 @@ then a tail.
 These sets are total dominating as emitted.  Special cases come first;
 their exceptional windows sit at the highest columns:
 
-* n = 7, [1,2]-domination: the small-case table's set.
+* n = 7, [1,2]-domination: {u_0, u_4, v_1, v_2, v_3}.
 * n = 5, total variant: the outer five-cycle, the exact-solver witness.
 * n = 1 (mod 6), n >= 13, [1,2]-domination: a period-6 motif
   {v_j, v_{j+1}, u_{j+1}, u_{j+4}} on columns 0..n-8 followed by the
@@ -29,9 +29,9 @@ their exceptional windows sit at the highest columns:
 Every construction is checked at emit time against its target size and
 its predicate; a failure raises ConstructionError because these sets
 serve as acceptance oracles elsewhere.  ``form_is_valid`` decides each
-table entry once, on first use, for every n it serves with at least
-R0 = 1 + ceil(4/q) motif repeats; below that (n <= 18) the set itself is
-checked.  So each construction is proved for every n >= 5.
+table entry once per repeat count below R0 = 1 + ceil(4/q) (n <= 18),
+and once for every n it serves with at least R0 motif repeats.  So each
+construction is proved for every n >= 5.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from enum import Enum
 
 from .domination import DominationKind, form_is_valid
 from .errors import ConstructionError, ParameterError, check_columns, require_int
-from .formulas import BY_KIND, f_one_two
+from .formulas import BY_KIND
 from .graph import ColumnForm, VertexSet
 
 __all__ = [
@@ -52,18 +52,6 @@ __all__ = [
     "construct_one_two",
     "construct_one_two_total",
 ]
-
-# minimum [1,2]-dominating sets for 5 <= n <= 11, (outer indices, inner indices)
-_SMALL_CASES: dict[int, tuple[list[int], list[int]]] = {
-    5: ([1], [1, 3, 4]),
-    6: ([1, 4], [1, 4]),
-    7: ([0, 4], [1, 2, 3]),
-    8: ([1, 4], [1, 4, 6, 7]),
-    9: ([1, 4, 7], [1, 4, 7]),
-    10: ([1, 4, 7, 8], [1, 4, 7, 8]),
-    11: ([1, 4, 7], [1, 4, 7, 9, 10]),
-}
-
 
 class ConstructionSource(Enum):
     SMALL_CASE_TABLE = "small-case-table"
@@ -88,7 +76,7 @@ _FORMS = {
 } | {
     (DominationKind.ONE_TWO_TOTAL, 0, 5):
         ((0b11111, 0, 5), _PAIRS, _NONE, ConstructionSource.SOLVER_DERIVED),
-    (DominationKind.ONE_TWO, 0, 7):  # _SMALL_CASES[7]
+    (DominationKind.ONE_TWO, 0, 7):
         ((0b10001, 0b1110, 7), _PAIRS, _NONE, ConstructionSource.SMALL_CASE_TABLE),
     (DominationKind.ONE_TWO, 6, 1): (
         _NONE, (0b010010, 0b000011, 6), (0b0111000, 0b0000011, 7),
@@ -97,7 +85,7 @@ _FORMS = {
 }
 # the caller named when build_construction refuses n
 _CALLERS = {kind: f"construct_{kind.name.lower()}" for kind in DominationKind}
-# (kind, head, motif, tail) -> form_is_valid from settled repeats on, per table entry
+# (kind, head, motif, tail, min(repeats, settled)) -> form_is_valid at that count
 _SOUND: dict[tuple, bool] = {}
 
 
@@ -125,30 +113,22 @@ class Construction:
 
 
 def small_case_set(n: int) -> VertexSet:
-    """The tabulated minimum [1,2]-dominating set for 5 <= n <= 11."""
+    """The minimum [1,2]-dominating set for 5 <= n <= 11: the construction's."""
     n = require_int("n", n, 5, 11, "small_case_set")
-    return _validate(n, *_SMALL_CASES[n], DominationKind.ONE_TWO, f_one_two(n))
-
-
-def _validate(n: int, outer, inner, kind: DominationKind, size: int) -> VertexSet:
-    """The set with the given column indices, checked by ``_checked``."""
-    head = sum(1 << i for i in outer), sum(1 << i for i in inner), n
-    return _checked(ColumnForm(head, _PAIRS, 0, _NONE), kind, size)  # head only
+    return build_construction(n, DominationKind.ONE_TWO).vertex_set
 
 
 def _checked(form: ColumnForm, kind: DominationKind, size: int) -> VertexSet:
-    """The form's set, checked against the target size and the kind.  From
-    settled repeats on, the kind is decided once per table entry."""
+    """The form's set, checked against the target size and the kind, which is
+    decided once per table entry and repeat count, all from settled on as one."""
     S = form.vertex_set()
     if len(S) != size:
         raise ConstructionError(
             f"{kind.value} construction for n={form.n} has size {len(S)}, expected {size}"
         )
-    key = kind, form.head, form.motif, form.tail
-    if form.repeats < form.settled:
-        sound = form_is_valid(form, kind)
-    elif (sound := _SOUND.get(key)) is None:
-        sound = _SOUND[key] = form_is_valid(form, kind)
+    key = kind, form.head, form.motif, form.tail, min(form.repeats, form.settled)
+    if (sound := _SOUND.get(key)) is None:
+        sound = _SOUND[key] = form_is_valid(form._replace(repeats=key[-1]), kind)
     if not sound:
         raise ConstructionError(
             f"{kind.value} construction for n={form.n} failed validation"

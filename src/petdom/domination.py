@@ -235,14 +235,16 @@ def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockT
     """Classify a block of g with exactly one member of S.
 
     Raises ParameterError when g has k != 2, b is a block of another n or
-    |b & S| != 1, and ClassificationImpossibleError when the unique member
-    is v_{i-1} or v_{i+1}, which would leave the block's central vertex
-    undominated and therefore contradicts S being a valid
-    [1,2]-dominating set.
+    centered outside [0, n), or |b & S| != 1, and
+    ClassificationImpossibleError when the unique member is v_{i-1} or
+    v_{i+1}, which would leave the block's central vertex undominated and
+    therefore contradicts S being a valid [1,2]-dominating set.
     """
     g._require_k2("classify_singleton_block")
     if b.n != g.n:
         raise ParameterError(f"block of P({b.n},2) given for P({g.n},2)")
+    if not 0 <= b.center < g.n:
+        raise ParameterError(f"block center {b.center} is not a column of P({g.n},2)")
     n, i = g.n, b.center
     hit = [(ring, d) for ring, mask in zip(Ring, (S.outer, S.inner))
            for d in (-1, 0, 1) if mask >> (i + d) % n & 1]

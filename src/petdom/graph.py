@@ -406,7 +406,7 @@ class PetersenGraph:
 
     def blocks(self) -> Iterator[Block]:
         """All n (overlapping) blocks, by ascending center; needs k=2."""
-        self._require_k2("block_at")
+        self._require_k2("blocks")
         return (Block(self.n, i) for i in range(self.n))
 
 

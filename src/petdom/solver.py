@@ -10,12 +10,12 @@ kinds:
   neighbourhood is decided lacks a dominator, when a count of 3 is
   refused, and when the picks left cannot reach every vertex still
   lacking one or outnumber the vertices left.  By rotational symmetry
-  only sets holding u_0 are searched, and the inner ring is checked
-  directly.  Each size is decided in column order (u_0, v_0, u_1, v_1,
-  ...), where a vertex's neighbourhood is decided soon after the vertex
-  and the cuts act early.  The first feasible size is searched again in
-  canonical order, include branch first and in full, so no cut loses
-  the first valid set, the lexicographically smallest;
+  only sets holding u_0 are searched.  Each size is decided in column
+  order (u_0, v_0, u_1, v_1, ...), where a vertex's neighbourhood is
+  decided soon after the vertex and the cuts act early.  The first
+  feasible size is searched again in canonical order, include branch
+  first and in full, so no cut loses the first valid set, the
+  lexicographically smallest;
 * ``dp_min`` (in :mod:`petdom.transfer`) runs a transfer-matrix dynamic
   program over columns and scales to very large n.
 
@@ -143,15 +143,14 @@ class _ExactSearch:
 
     Rotation cut: i -> i + 1 on both rings is an automorphism of P(n,k),
     so if no valid m-set contains u_0, none contains any outer vertex.
-    Every vertex needs a dominator in its closed neighbourhood, and u_i's
-    only inner neighbour is v_i, so the one set left is the inner ring.
-    ``search`` therefore only includes u_0, and falls back to checking
-    the inner ring at m = n.
+    A set with no outer vertex holds v_i, u_i's only inner neighbour, for
+    every i: it is the inner ring, at m = n, where the outer ring is valid
+    of every kind (each u_i has two outer neighbours, each v_i has u_i)
+    and holds u_0.  So ``search`` only includes u_0.
     """
 
     def __init__(self, g: PetersenGraph, kind: DominationKind, ranks: Sequence[int]):
         self.order = 2 * g.n
-        self.n = g.n
         self.ranks = ranks
         self.full = (1 << self.order) - 1
         # kind.accepts on masks: a vertex passes when it is in ge1 and not
@@ -173,7 +172,6 @@ class _ExactSearch:
             self.fin[max(p, *nbrs) + 1] |= 1 << p
         for p in range(self.order):
             self.fin[p + 1] |= self.fin[p]
-        self.inner = at[self.n:]  # positions of ranks n..2n-1, the inner ring
 
     def search(self, m: int) -> int | None:
         """Return the rank mask of the first valid set of size exactly m in
@@ -182,12 +180,6 @@ class _ExactSearch:
         if m:
             nb = self.nb[0]
             found = self._dfs(1, m - 1, 1, nb, 0, 0)
-        if found is None and m == self.n:
-            S = ge1 = ge2 = ge3 = 0
-            for p in self.inner:
-                nb = self.nb[p]
-                S, ge1, ge2, ge3 = S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb
-            found = self._dfs(self.order, 0, S, ge1, ge2, ge3)
         if found is None:
             return None
         return sum(1 << r for p, r in enumerate(self.ranks) if found >> p & 1)
@@ -328,14 +320,10 @@ def enumerate_eq1(n: int) -> list[PairProfile]:
     for k in range(1, n + 1):
         for a in range(3):
             for b in range(3):
-                best = None
-                for v in range(3):
-                    if a + b + v < 2:
-                        continue
-                    cand = v + min_rest[k - 1][b][v]
-                    if best is None or cand < best:
-                        best = cand
-                min_rest[k][a][b] = best if best is not None else 10 ** 9
+                # v = 2 always passes the window, so the min is never empty
+                min_rest[k][a][b] = min(
+                    v + min_rest[k - 1][b][v] for v in range(3) if a + b + v >= 2
+                )
 
     out: list[PairProfile] = []
     prefix: list[int] = []
@@ -352,7 +340,7 @@ def enumerate_eq1(n: int) -> list[PairProfile]:
         a = prefix[p - 2] if p >= 2 else 2
         b = prefix[p - 1] if p >= 1 else 2
         for v in range(3):
-            if p >= 2 and a + b + v < 2:
+            if a + b + v < 2:
                 continue
             new_total = total + v
             if new_total + min_rest[n - p - 1][b][v] >= target:

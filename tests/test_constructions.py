@@ -19,6 +19,7 @@ from petdom.constructions import (
     construct_one_two_total,
     small_case_set,
 )
+from petdom.graph import ColumnForm
 from petdom import domination
 from petdom.cli import main
 import petdom.constructions as constructions
@@ -141,18 +142,10 @@ class TestRecipes:
         with pytest.raises(ParameterError, match="one-two"):
             build_construction(9, K.PLAIN)
 
-    def test_emit_validation_catches_bad_patterns(self):
-        from petdom.constructions import _validate
-
-        with pytest.raises(ConstructionError, match="size"):
-            _validate(9, [1], [1], K.ONE_TWO, 6)
-        with pytest.raises(ConstructionError, match="failed validation"):
-            _validate(9, [1, 4, 7], [1, 4, 6], K.ONE_TWO, 6)
-
 
 class TestFormTable:
-    # each mutation, at a small n (the form below R0, its set checked
-    # directly) and near 10^4 (the form checked at R0 and R0 + 1, once)
+    # each mutation, at a small n (the form below R0, checked at its own
+    # repeat count) and near 10^4 (the form checked at R0 and R0 + 1, once)
     @pytest.mark.parametrize(
         "key,parts,ns,message",
         [
@@ -180,12 +173,14 @@ class TestFormTable:
             with pytest.raises(ConstructionError, match=message):
                 build_construction(n, key[0])
 
-    def test_small_n_direct_and_large_n_through_the_checked_form(self, monkeypatch):
+    def test_small_n_kept_per_repeat_count_and_large_n_once(self, monkeypatch):
         monkeypatch.setattr(constructions, "_SOUND", {})
-        build_construction(8, K.ONE_TWO)  # 2 < R0 = 3 repeats: not kept
-        assert constructions._SOUND == {}
+        key = K.ONE_TWO, *constructions._FORMS[K.ONE_TWO, 3, 2][:3]
+        build_construction(8, K.ONE_TWO)  # 2 < R0 = 3 repeats: kept under 2
+        assert constructions._SOUND == {(*key, 2): True}
         build_construction(9998, K.ONE_TWO)
-        assert list(constructions._SOUND.values()) == [True]
+        build_construction(11, K.ONE_TWO)  # R0 = 3 repeats: the same verdict
+        assert constructions._SOUND == {(*key, 2): True, (*key, 3): True}
 
     def test_counts_calls_bounded(self, monkeypatch):
         # validating each construction on its own set would take 3,992 calls
@@ -203,7 +198,7 @@ class TestFormTable:
                 build_construction(n, kind)
         assert 0 < len(calls) <= 100, sorted(calls)
 
-    def test_cache_holds_one_entry_per_table_key(self, monkeypatch):
+    def test_cache_holds_one_entry_per_table_key_and_repeat_count(self, monkeypatch):
         monkeypatch.setattr(constructions, "_SOUND", {})
         for kind in (K.ONE_TWO, K.ONE_TWO_TOTAL):
             for n in range(5, 3001):
@@ -212,8 +207,10 @@ class TestFormTable:
             (key[0], head, motif, tail)
             for key, (head, motif, tail, _) in constructions._FORMS.items()
         }
-        assert set(constructions._SOUND) <= entries
-        assert len(constructions._SOUND) <= len(constructions._FORMS)
+        assert {key[:-1] for key in constructions._SOUND} <= entries
+        # one key per (table entry, repeat count), repeat counts 0..settled
+        for _, head, motif, tail, repeats in constructions._SOUND:
+            assert 0 <= repeats <= ColumnForm(head, motif, 0, tail).settled
         assert all(constructions._SOUND.values())
 
 

@@ -29,7 +29,7 @@ from petdom import (
 )
 from petdom.constructions import build_construction
 from petdom.domination import form_is_valid
-from petdom.graph import ColumnForm
+from petdom.graph import Block, ColumnForm
 
 K = DominationKind
 
@@ -338,6 +338,16 @@ class TestClassifySingletonBlock:
         S = VertexSet.from_names("u11", 12)
         with pytest.raises(ParameterError, match=r"block of P\(28,2\) given for P\(12,2\)"):
             classify_singleton_block(g, S, build_petersen(28, 2).block_at(12))
+
+    def test_rejects_center_outside_graph(self):
+        # u2 would be the one member of a block centered at 50 % 12 = 2
+        g = build_petersen(12, 2)
+        S = VertexSet.from_names("u2", 12)
+        with pytest.raises(ParameterError, match=r"^block center 50 is not a column of P\(12,2\)$"):
+            classify_singleton_block(g, S, Block(12, 50))
+        with pytest.raises(ParameterError, match="block center -1"):
+            classify_singleton_block(g, S, Block(12, -1))
+        assert classify_singleton_block(g, S, Block(12, 2)) is BlockType.CENTER_OUTER
 
     @given(n=st.integers(5, 14), m=st.integers(5, 30), i=st.integers(0, 29),
            bits=st.lists(st.booleans(), min_size=32, max_size=32))

@@ -104,6 +104,10 @@ class TestBlocks:
         with pytest.raises(ParameterError, match="k = 2"):
             g.block_at(0)
 
+    def test_blocks_names_itself(self):
+        with pytest.raises(ParameterError, match=r"^blocks requires k = 2, got k=3$"):
+            build_petersen(9, 3).blocks()
+
     @given(n=st.integers(6, 30).filter(lambda n: n % 2 == 0))
     def test_sign_alternation_even_n(self, n):
         g = build_petersen(n, 2)

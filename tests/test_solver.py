@@ -131,23 +131,18 @@ class TestExactSearch:
                         assert valid[found] and sizes[found] == m, (k, kind, m)
         assert gaps
 
-    def test_inner_ring_fallback(self):
-        # every graph tested here has a valid n-set holding u_0, so the
-        # fallback only runs when the search through u_0 is made to fail:
-        # then the whole inner ring is found at m = n, and nothing else
-        class WithoutU0(solver._ExactSearch):
-            def _dfs(self, p, *state):
-                return None if p == 1 else super()._dfs(p, *state)
+    def test_outer_ring_is_valid_of_every_kind(self):
+        # why search only includes u_0: a valid set with no outer vertex is
+        # the inner ring, at m = n, where the outer ring (holding u_0) is
+        # valid too, since each u_i has two outer neighbours and v_i has u_i
+        from petdom import is_valid
 
-        n = 7
-        for k in (1, 2, 3):
-            g = build_petersen(n, k)
-            for kind in K:
-                for ranks in (range(2 * n), solver._column_order(g)):
-                    search = WithoutU0(g, kind, ranks)
-                    assert search.search(n) == ((1 << n) - 1) << n
-                    assert search.search(n - 1) is None
-                    assert search.search(n + 1) is None
+        for n in range(3, 41):
+            for k in range(1, (n + 1) // 2):
+                g = build_petersen(n, k)
+                ring = VertexSet((1 << n) - 1, 0)
+                for kind in K:
+                    assert is_valid(g, ring, kind).valid, (n, k, kind)
 
     def test_node_count(self, monkeypatch):
         # a deterministic work gate: the column-order proofs of m = 7 and
