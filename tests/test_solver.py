@@ -89,6 +89,22 @@ class TestBruteForce:
         got = brute_force_min(g, K.ONE_TWO).witness
         assert got.members == best.members
 
+    def test_witnesses_pinned(self):
+        # sha256 of "\n".join of "{n} {k} {kind} {minimum} {witness.text()}"
+        # over n = 5..13, every 1 <= k < n/2 and every kind, recorded while
+        # a second, canonical-order search picked the witness
+        import hashlib
+
+        lines = []
+        for n in range(5, 14):
+            for k in range(1, (n + 1) // 2):
+                g = build_petersen(n, k)
+                for kind in K:
+                    r = brute_force_min(g, kind)
+                    lines.append(f"{n} {k} {kind.value} {r.minimum} {r.witness.text()}")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "d12a56f6073966e0d694fb35564d7937214fc4e7f17b0d599f471d0d93f9f2a9"
+
     def test_works_on_other_k(self):
         g = build_petersen(7, 3)
         result = brute_force_min(g, K.PLAIN)
