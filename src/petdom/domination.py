@@ -175,10 +175,11 @@ def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
     """
     kind = DominationKind.require(kind, "form_is_valid")
     parts = form.head, form.motif, form.tail
-    if form.motif[2] < 1 or form.n < 5 or any(o >> w or i >> w for o, i, w in parts):
+    bad = form.motif[2] < 1 or form.repeats < 0 or form.n < 5
+    if bad or any(w < 0 or o >> w or i >> w for o, i, w in parts):
         raise ParameterError(
-            f"form_is_valid requires motif width >= 1, each part's bits below "
-            f"its width and n >= 5, got {form}"
+            f"form_is_valid requires motif width >= 1, widths and repeats >= 0, "
+            f"each part's bits below its width and n >= 5, got {form}"
         )
     low = form.settled
     for r in [form.repeats] if form.repeats < low else [low, low + 1]:

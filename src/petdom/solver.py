@@ -4,18 +4,10 @@ Two independent solvers compute minimum dominating sets of all four
 kinds:
 
 * ``brute_force_min`` searches subsets of each cardinality in turn, in
-  increasing order, depth first over the vertices (hard limit
-  2n <= 26).  A branch is a member mask and the masks of vertices with
-  at least 1, 2 and 3 member neighbours.  It is cut when a vertex whose
-  neighbourhood is decided lacks a dominator, when a count of 3 is
-  refused, and when the picks left cannot reach every vertex still
-  lacking one or outnumber the vertices left.  By rotational symmetry
-  only sets holding u_0 are searched.  Each size is decided in column
-  order (u_0, v_0, u_1, v_1, ...), where a vertex's neighbourhood is
-  decided soon after the vertex and the cuts act early.  The first
-  feasible size is searched again in canonical order, include branch
-  first and in full, so no cut loses the first valid set, the
-  lexicographically smallest;
+  increasing order, depth first over the vertices in column order
+  (u_0, v_0, u_1, v_1, ...), where its cuts act early, and only sets
+  holding u_0, by rotational symmetry (hard limit 2n <= 26).  At the
+  first feasible size it fixes the smallest set rank by rank;
 * ``dp_min`` (in :mod:`petdom.transfer`) runs a transfer-matrix dynamic
   program over columns and scales to very large n.
 
@@ -32,7 +24,6 @@ window inequalities together with sum(x) < f(n).
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,15 +102,9 @@ class SolveResult:
 class _ExactSearch:
     """Depth-first search over subsets of exactly m vertices.
 
-    Vertices are decided in a fixed position order, a list of the ranks
-    of g (``PetersenGraph.rank``: canonical order), with the include
-    branch explored first.  Every order starts with u_0.  The masks below
-    are built in that order from ``g.neighbor_ranks``.
-    In canonical order (ranks ascending) the first complete valid set
-    found for a given m is the lexicographically smallest one.  In column
-    order (u_0, v_0, u_1, v_1, ...) a vertex's closed neighbourhood is
-    decided about two columns after its own, so the cuts below act early;
-    that order proves sizes infeasible.
+    Vertices are decided in column order, include branch first: u_i at
+    position 2i, v_i at 2i + 1, so a vertex's closed neighbourhood is
+    decided about two columns after its own and the cuts below act early.
 
     A branch is four int masks over positions, passed down and never
     undone: S, its members, and ge1, ge2, ge3, the vertices with at least
@@ -149,9 +134,8 @@ class _ExactSearch:
     and holds u_0.  So ``search`` only includes u_0.
     """
 
-    def __init__(self, g: PetersenGraph, kind: DominationKind, ranks: Sequence[int]):
+    def __init__(self, g: PetersenGraph, kind: DominationKind):
         self.order = 2 * g.n
-        self.ranks = ranks
         self.full = (1 << self.order) - 1
         # kind.accepts on masks: a vertex passes when it is in ge1 and not
         # in ge3 & cap, or when it is in S & exempt
@@ -161,34 +145,51 @@ class _ExactSearch:
         # dominator (3 neighbors, plus itself unless members also need one)
         self.cover = 3 if kind.covers_members else 4
 
-        at = [0] * self.order
-        for p, r in enumerate(ranks):
-            at[r] = p
+        self.at = [2 * (r % g.n) + r // g.n for r in range(self.order)]
         self.nb = [0] * self.order
         self.fin = [0] * (self.order + 1)
-        for r in range(self.order):
-            p, nbrs = at[r], [at[w] for w in g.neighbor_ranks(r)]
+        for r, p in enumerate(self.at):
+            nbrs = [self.at[w] for w in g.neighbor_ranks(r)]
             self.nb[p] = sum(1 << w for w in nbrs)
             self.fin[max(p, *nbrs) + 1] |= 1 << p
         for p in range(self.order):
             self.fin[p + 1] |= self.fin[p]
 
-    def search(self, m: int) -> int | None:
-        """Return the rank mask of the first valid set of size exactly m in
-        this order, or None."""
-        found = None
-        if m:
-            nb = self.nb[0]
-            found = self._dfs(1, m - 1, 1, nb, 0, 0)
+    def search(self, m: int, inside: int = 1, outside: int = 0) -> int | None:
+        """The position mask of a valid m-set holding every position in
+        ``inside`` (u_0's, bit 0, among them) and none in ``outside``, or None."""
+        self.inside, self.outside = inside, outside
+        return self._dfs(1, m - 1, 1, self.nb[0], 0, 0)
+
+    def smallest(self, m: int) -> VertexSet | None:
+        """The valid m-set with the smallest sorted rank list, or None.
+
+        Ranks are decided in canonical order, each kept when a valid m-set
+        holds it with the ranks kept before, which gives the smallest
+        sorted rank list.  The last set found holds exactly the kept ranks
+        among those done, so a rank it holds is kept at once; any other is
+        kept only if a search forcing it and the kept ranks in, and the
+        refused ranks out, finds a set.  Forcing refused ranks out loses
+        nothing: no m-set holds one with the kept ranks.  Rank 0 is u_0,
+        which the first set holds (see the rotation cut).
+        """
+        found, done = self.search(m), 1
         if found is None:
             return None
-        return sum(1 << r for p, r in enumerate(self.ranks) if found >> p & 1)
+        for p in self.at[1:]:
+            if not found >> p & 1:
+                # a set found holds u_0, so its mask is never 0
+                found = self.search(m, found & done | 1 << p, done & ~found) or found
+            done |= 1 << p
+        mask = sum(1 << r for r, p in enumerate(self.at) if found >> p & 1)
+        # the low n rank bits are the outer ring, the next n the inner
+        return VertexSet(mask & (1 << self.order // 2) - 1, mask >> self.order // 2)
 
     def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int) -> int | None:
         # positions below p are decided; left more members are to be picked
         if not left:
             bad = (self.full & ~ge1 | ge3 & self.cap) & ~(S & self.exempt)
-            return None if bad else S
+            return None if bad or self.inside & ~S else S
         while True:
             # members, and positions from p on at best, may be exempt
             maybe = (S | self.full >> p << p) & self.exempt
@@ -197,18 +198,16 @@ class _ExactSearch:
             need = self.full ^ (ge1 | S & self.exempt)
             if need.bit_count() > self.cover * left or left > self.order - p:
                 return None
-            nb = self.nb[p]
-            found = self._dfs(
-                p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb
-            )
-            if found is not None:
-                return found
+            if not self.outside >> p & 1:
+                nb = self.nb[p]
+                found = self._dfs(
+                    p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb
+                )
+                if found is not None:
+                    return found
+            if self.inside >> p & 1:
+                return None
             p += 1
-
-
-def _column_order(g: PetersenGraph) -> list[int]:
-    """Ranks in column order: u_0, v_0, u_1, v_1, ..., u_{n-1}, v_{n-1}."""
-    return [r for i in range(g.n) for r in (i, g.n + i)]
 
 
 def brute_force_min(
@@ -217,8 +216,8 @@ def brute_force_min(
     """Exact minimum by cardinality-ordered exhaustive search.
 
     Limited to 2n <= 26 vertices.  Each size is decided in column order;
-    only the first feasible size is searched again, in canonical order,
-    for the lexicographically smallest witness.  When ``budget`` is
+    at the first feasible size ``_ExactSearch.smallest`` fixes the
+    lexicographically smallest witness rank by rank.  When ``budget`` is
     given, only sets of at most that cardinality are searched and
     InfeasibleError is raised if none is valid.
     """
@@ -230,14 +229,11 @@ def brute_force_min(
         )
     if budget is not None:
         budget = require_int("budget", budget, 0)
-    proof = _ExactSearch(g, kind, _column_order(g))
-    lower = -(-order // proof.cover)
+    search = _ExactSearch(g, kind)
+    lower = -(-order // search.cover)
     upper = order if budget is None else min(budget, order)
     for m in range(min(lower, upper + 1), upper + 1):
-        if proof.search(m) is not None:
-            mask = _ExactSearch(g, kind, range(order)).search(m)
-            # the low n rank bits are the outer ring, the next n the inner
-            witness = VertexSet(mask & (1 << g.n) - 1, mask >> g.n)
+        if (witness := search.smallest(m)) is not None:
             return SolveResult(g.n, g.k, kind, m, witness, SolveMethod.BRUTE_FORCE)
     if budget is not None:
         raise InfeasibleError(

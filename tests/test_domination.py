@@ -235,6 +235,8 @@ class TestFormIsValid:
             ColumnForm((0b11111, 0, 5), (0, 0, 0), 3, (0, 0, 0)),  # motif width 0
             ColumnForm((0, 0, 0), (0b010, 0b1010, 3), 3, (0, 0, 0)),  # v_3 in a motif of 3
             ColumnForm((0, 0, 0), (0b010, 0b010, 3), 3, (0b100, 0, 2)),  # u_2 in a tail of 2
+            ColumnForm((0, 0, 8), (0b010, 0b010, 3), -1, (0, 0, 0)),  # repeats -1, n = 5
+            ColumnForm((0, 0, -1), (0b010, 0b010, 3), 2, (0, 0, 0)),  # head width -1, n = 5
         ],
     )
     def test_refuses_forms_outside_the_argument(self, form):

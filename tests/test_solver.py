@@ -117,35 +117,49 @@ class TestExactSearch:
     def test_matches_enumeration(self, n):
         # every subset of every size, no search: row x of bits is the set
         # whose rank r (u_0..u_{n-1}, then v_0..v_{n-1}) is bit r of x
-        bits = (np.arange(1 << 2 * n)[:, None] >> np.arange(2 * n)) & 1
+        x = np.arange(1 << 2 * n)
+        bits = (x[:, None] >> np.arange(2 * n)) & 1
         outer, inner = bits[:, :n].T, bits[:, n:].T
         sizes = bits.sum(axis=1)
-        gaps = 0
+        # search masks are over positions: u_i is at 2i, v_i at 2i + 1
+        at = [2 * (r % n) + r // n for r in range(2 * n)]
+
+        def ranks(mask):
+            return sum(1 << r for r, p in enumerate(at) if mask >> p & 1)
+
+        # (inside, outside) position masks; inside holds u_0's position 0
+        forced = [(1, 0), (0b100001, 0b100), (1 | 1 << 2 * n - 1, 0b10010), (0b111, 0b11000)]
+        gaps, outcomes = 0, set()
         for k in range(1, (n + 1) // 2):
             g = build_petersen(n, k)
             cu, cv = counts(n, k, outer, inner)
             for kind in K:
                 valid = (kind.accepts(cu, outer) & kind.accepts(cv, inner)).all(axis=0)
-                canonical = solver._ExactSearch(g, kind, range(2 * n))
-                by_column = solver._ExactSearch(g, kind, solver._column_order(g))
+                search = solver._ExactSearch(g, kind)
                 for m in range(2 * n + 1):
                     rows = np.flatnonzero(valid & (sizes == m))
                     expected = None
                     if len(rows):
                         # the valid m-set with the smallest sorted rank list
-                        ranks = np.nonzero(bits[rows])[1].reshape(len(rows), m)
-                        expected = int(rows[np.lexsort(ranks.T[::-1])[0]])
+                        members = np.nonzero(bits[rows])[1].reshape(len(rows), m)
+                        row = int(rows[np.lexsort(members.T[::-1])[0]])
+                        expected = VertexSet(row & (1 << n) - 1, row >> n)
                     elif valid[sizes < m].any():
                         # above the minimum, the search that includes u_0
                         # runs to the end without a find
                         gaps += 1
-                    assert canonical.search(m) == expected, (k, kind, m)
-                    found = by_column.search(m)
-                    if expected is None:
-                        assert found is None, (k, kind, m)
-                    else:
-                        assert valid[found] and sizes[found] == m, (k, kind, m)
-        assert gaps
+                    assert search.smallest(m) == expected, (k, kind, m)
+                    assert (search.search(m) is None) == (expected is None), (k, kind, m)
+                    for inside, outside in forced:
+                        want = valid & (sizes == m)
+                        want &= (x & ranks(inside) == ranks(inside)) & (x & ranks(outside) == 0)
+                        found = search.search(m, inside, outside)
+                        outcomes.add(found is None)
+                        if found is None:
+                            assert not want.any(), (k, kind, m, inside, outside)
+                        else:
+                            assert want[ranks(found)], (k, kind, m, inside, outside)
+        assert gaps and outcomes == {True, False}
 
     def test_outer_ring_is_valid_of_every_kind(self):
         # why search only includes u_0: a valid set with no outer vertex is
@@ -161,11 +175,13 @@ class TestExactSearch:
                     assert is_valid(g, ring, kind).valid, (n, k, kind)
 
     def test_node_count(self, monkeypatch):
-        # a deterministic work gate: the column-order proofs of m = 7 and
-        # m = 8 and the canonical witness search at m = 9 enter _dfs 7,935
-        # times (a canonical search of every size took about 39,000 calls,
-        # and about 100,000 without the rotation cut); the budget call alone
-        # is proof only and takes 1,912
+        # a deterministic work gate: the plain call, which proves m = 7 and
+        # m = 8 infeasible and then fixes the smallest 9-set rank by rank,
+        # and the budget call, which only proves, enter _dfs 6,085 times in
+        # all, 1,912 of them in the budget call (7,935 when a second,
+        # canonical-order search picked the witness; a canonical search of
+        # every size took about 39,000 calls, about 100,000 without the
+        # rotation cut)
         calls = []
         dfs = solver._ExactSearch._dfs
 
@@ -180,7 +196,7 @@ class TestExactSearch:
         with pytest.raises(InfeasibleError):
             brute_force_min(g, K.ONE_TWO, budget=f_one_two(13) - 1)
         assert len(calls) - plain <= 2_200
-        assert len(calls) <= 9_000
+        assert len(calls) <= 6_500
 
 
 class TestSolveResultInvariant:
