@@ -19,7 +19,6 @@ from .domination import (
     census_inequalities,
     classify_singleton_block,
     component_census,
-    domination_count,
     induced_components,
     is_valid,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "check_eq1",
     "classify_singleton_block",
     "component_census",
-    "domination_count",
     "dp_min",
     "dp_minima",
     "enumerate_eq1",

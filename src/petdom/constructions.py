@@ -48,7 +48,6 @@ __all__ = [
     "ConstructionSource",
     "Construction",
     "build_construction",
-    "small_case_set",
     "construct_one_two",
     "construct_one_two_total",
 ]
@@ -110,12 +109,6 @@ class Construction:
             "set": self.vertex_set.names(),
             "source": self.source.value,
         }
-
-
-def small_case_set(n: int) -> VertexSet:
-    """The minimum [1,2]-dominating set for 5 <= n <= 11: the construction's."""
-    n = require_int("n", n, 5, 11, "small_case_set")
-    return build_construction(n, DominationKind.ONE_TWO).vertex_set
 
 
 def _checked(form: ColumnForm, kind: DominationKind, size: int) -> VertexSet:

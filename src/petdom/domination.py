@@ -39,7 +39,6 @@ __all__ = [
     "Bound",
     "Violation",
     "ValidationReport",
-    "domination_count",
     "counts",
     "is_valid",
     "form_is_valid",
@@ -124,12 +123,6 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def domination_count(g: PetersenGraph, S: VertexSet, v: Vertex) -> int:
-    """|N(v) & S|, an integer in [0, 3]."""
-    r = g.rank(v)
-    return int(np.concatenate(counts(g.n, g.k, *S.arrays(g.n)))[r])
-
-
 def counts(
     n: int, k: int, outer: np.ndarray, inner: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -174,7 +167,12 @@ def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
     and below R0 as it is.
     """
     kind = DominationKind.require(kind, "form_is_valid")
-    parts = form.head, form.motif, form.tail
+    fields = "outer bits", "inner bits", "width"
+    parts = head, motif, tail = [
+        tuple(require_int(f"{name} {field}", x) for field, x in zip(fields, part))
+        for name, part in zip(("head", "motif", "tail"), (form.head, form.motif, form.tail))
+    ]
+    form = ColumnForm(head, motif, require_int("repeats", form.repeats), tail)
     bad = form.motif[2] < 1 or form.repeats < 0 or form.n < 5
     if bad or any(w < 0 or o >> w or i >> w for o, i, w in parts):
         raise ParameterError(

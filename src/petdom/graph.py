@@ -347,12 +347,6 @@ class PetersenGraph:
 
     # -- basic structure ------------------------------------------------
 
-    def outer(self, i: int) -> Vertex:
-        return Vertex(Ring.OUTER, require_int("i", i) % self.n)
-
-    def inner(self, i: int) -> Vertex:
-        return Vertex(Ring.INNER, require_int("i", i) % self.n)
-
     def vertices(self) -> Iterator[Vertex]:
         """All 2n vertices in canonical order, which is rank order."""
         return (Vertex(ring, i) for ring in Ring for i in range(self.n))

@@ -35,13 +35,20 @@ therefore exactly the minimum cardinality, for every n >= 5.
 Witness reconstruction is a greedy walk over the vertices in canonical
 order (u_0..u_{n-1}, then v_0..v_{n-1}): a vertex is kept in the witness
 exactly when some minimum-size valid set contains it together with all
-commitments made so far.  Feasibility of each trial commitment is read
-off forward tables (cost of the committed prefix per interface/state)
-combined with backward tables (cost to finish per state/interface), so
-the returned witness is the lexicographically smallest minimum set, the
-same tie-break the brute-force solver uses.  The outer bits are fixed
-first with the inner choices free (phase 1), then the inner bits with
-the outer ones frozen (phase 2).
+commitments made so far, so the returned witness is the
+lexicographically smallest minimum set, the same tie-break the
+brute-force solver uses.  The outer bits are fixed first with the inner
+choices free (phase 1), then the inner bits with the outer ones frozen
+(phase 2).  The walk only steps forward.  Its table F[t, r] is the
+cheapest committed prefix from start interface r to interface t, and
+one gather per column steps it through all four choices at once: the
+interface t leaving column j fixes its own choice, a = bit 1 of t and
+b = bit 5.  So each option of a column is a set of targets (phase 1
+splits them on bit 1; phase 2 fixes bit 1 to u_j and splits on bit 5),
+and one sum of the gathered table and the suffix table of the columns
+after j (cost to finish from each target back to each start interface)
+gives both options' best closed totals.  The gathered table on the
+chosen option's targets is the next forward table.
 
 Periodic suffix tables.  Every backward table is a suffix table T_L:
 the cost of the last L columns from each entering interface to each
@@ -56,7 +63,8 @@ targets and no forced choices T_L is M^L, the L-th min-plus power of the
 64x64 one-column matrix M (the four choices merged), whatever n is: one
 chain per kind, built once on first use, stores at most 24 tables.
 Greedy phase 1 reads these tables; phase 2 builds its own with one
-target per live start interface (below).
+target per live start interface (below).  These are the only backward
+steps: the walks step no column backward.
 
 Closed tours.  The minimum for n is the smallest diagonal entry of M^n,
 and the start interfaces of the walk below are the rows that attain it.
@@ -64,32 +72,39 @@ The chain reads both off its N + p stored tables once, in one pass; for
 n >= N they are those of L = N + (n - N) mod p, the minimum plus
 d * floor((n - N) / p), so no caller does array work per n.
 
-Live start interfaces.  Each row of the forward table is one start
-interface of the closed tour.  A row whose best closed total under the
-commitments made so far exceeds the minimum is dropped: a further
+Live start interfaces.  Each column of the forward table is one start
+interface of the closed tour.  A column whose best closed total under
+the commitments made so far exceeds the minimum is dropped: a further
 commitment only removes tours, so its total can never fall back to the
-minimum, and the test "some row attains the minimum" reads the same
-without it.  In practice one to three rows are left after a few
-columns, so phase 2's suffix tables have one column per row live when
-it starts, not 64.
+minimum, and the test "some start attains the minimum" reads the same
+without it.  In practice one to three are left after a few columns, so
+phase 2's suffix tables have one column per start live when it starts,
+not 64.
 
 Periodic witness reconstruction.  A greedy walk is a deterministic
-process whose state entering column j is the live rows and the forward
+process whose state entering column j is the live starts and the forward
 table less its minimum (the minimum is carried as an int, base).  Its
 step at column j reads only that state, the column's options and the
 suffix table of columns j+1..n-1, and it is unchanged when the suffix
 table moves by a constant: by the greedy invariant the best total equals
 the minimum, so the target minimum - base - offset moves with it.  Where
 options and suffix tables repeat with period P, a state that repeats
-(same rows and forward table at the same phase mod P, found with a dict)
-therefore repeats every q columns from there on: the walk tiles that
-stretch's bits, adds its cost to base per period, and jumps ahead,
+(same starts and forward table at the same phase mod P, found with a
+dict) therefore repeats every q columns from there on: the walk tiles
+that stretch's bits, adds its cost to base per period, and jumps ahead,
 stepping again only near the end.  Phase 1's options are the same at
-every column, and its state repeats within about 20 columns.  The outer
-bits it returns are a prefix, a periodic stretch and a tail, so phase
-2's options repeat over that stretch and its walk skips periods the same
-way.  Each phase runs a number of column steps independent of n; only
-the bit arrays, the witness and its validation are O(n).
+every column, and its state repeats within about 20 columns.  It reads
+only its start rows' columns of M^L, and those repeat from some L_r <= N
+on: M^(L+p)[:, rows] = M^L[:, rows] + d.  Restricting columns commutes
+with M (x) ., so once this holds at one L it holds at every longer one.
+The chain marks, for each L < N and each column of M^L, whether that
+column repeats a period later, so L_r is one gather over those marks,
+and phase 1 skips periods up to column n - L_r, not only n - N (plain:
+L_r = 6 against N = 17 at every n >= N).  The outer bits it returns are
+a prefix, a periodic stretch and a tail, so phase 2's options repeat
+over that stretch and its walk skips periods the same way.  Each phase
+runs a number of column steps independent of n; only the bit arrays, the
+witness and its validation are O(n).
 
 Size bound.  Table entries are float32 but only ever hold costs of a
 bounded number of columns (all n only when n is too short to show a
@@ -116,9 +131,21 @@ __all__ = ["dp_min", "dp_minima"]
 
 _N_STATES = 64
 _INF = np.float32(np.inf)
-_ALL_CHOICES = np.arange(4)
-_OUTER = np.array([[1, 3], [0, 2]])  # choices with u_j in S, and without
-_INNER = np.array([[[2], [0]], [[3], [1]]])  # [u_j]: with v_j in S, and without
+_ALL_CHOICES = np.arange(4)  # c = a | b << 1 for (a, b) = (u_j in S, v_j in S)
+_TARGET = np.arange(_N_STATES)
+_A, _B = (_TARGET >> 1) & 1, _TARGET >> 5  # the choice (a, b) reaching each t
+
+
+def _targets(*sets: np.ndarray) -> np.ndarray:
+    """Each set of interfaces as a min-plus column: 0 on it, INF off it."""
+    return np.where(np.stack(sets), 0.0, _INF).astype(np.float32)[..., None]
+
+
+_OUTER = _targets(_A == 1, _A == 0)  # targets with u_j in S, and without
+# [u_j]: targets with v_j in S, and without; a min-plus sum of sets is
+# their intersection
+_INNER = _OUTER[::-1, None] + _targets(_B == 1, _B == 0)
+_FIXED_A = np.array([[0, 2], [1, 3]])  # [u_j]: the choices with a = u_j
 _NO_PERIOD = (0, 0, 1)  # a (lo, hi, P) period that holds for no column
 
 _State = TypeVar("_State")
@@ -155,36 +182,37 @@ class _Chain:
 
     succ[c, s] is the successor interface of s under choice c and
     cost[c, s, 0] its cost a + b, or INF where the kind refuses it;
-    pre[c, t] lists the four states s with succ[c, s] == t, or none, and
-    pre_cost[c, t] their costs (INF where none is feasible).  Built whole:
-    power(L) = (table, offset) with M^L = table + offset, cycle = (N, p, d)
-    and tours[L] = (minimum or None, rows) for L < N + p (see above).
+    pre[i, t] is the state s that t's own choice (a, b) = (bit 1, bit 5)
+    takes to t, one of four numbered by the bits i = u2 | v4 << 1 that t
+    drops, and pre_cost[i, t, 0] its cost.  Built whole: power(L) =
+    (table, offset) with M^L = table + offset, cycle = (N, p, d),
+    tours[L] = (minimum or None, rows) for L < N + p and periodic[L, t],
+    whether column t of M^(L+p) is column t of M^L + d, for L < N (see
+    above).
     """
 
     def __init__(self, kind: DominationKind) -> None:
         self.kind = kind
-        self.succ = np.empty((4, _N_STATES), dtype=np.int64)
-        self.cost = np.empty((4, _N_STATES, 1), dtype=np.float32)
-        self.pre = np.zeros((4, _N_STATES, 4), dtype=np.int64)
-        self.pre_cost = np.full((4, _N_STATES, 4), _INF, dtype=np.float32)
-        for c in range(4):
-            a, b = c & 1, (c >> 1) & 1
-            for s in range(_N_STATES):
-                u2, u1 = s & 1, (s >> 1) & 1
-                v4, v3, v2, v1 = (s >> 2) & 1, (s >> 3) & 1, (s >> 4) & 1, (s >> 5) & 1
-                t = u1 | (a << 1) | (v3 << 2) | (v2 << 3) | (v1 << 4) | (b << 5)
-                ok = kind.accepts(u2 + a + v1, u1) and kind.accepts(v4 + b + u2, v2)
-                cost = a + b if ok else _INF
-                i = u2 | (v4 << 1)  # t drops u2 and v4: they number its predecessors
-                self.succ[c, s], self.cost[c, s] = t, cost
-                self.pre[c, t, i], self.pre_cost[c, t, i] = s, cost
+        u2, u1, v4, v3, v2, v1 = (_TARGET >> np.arange(6)[:, None]) & 1  # bits of s
+        a, b = _ALL_CHOICES[:, None] & 1, _ALL_CHOICES[:, None] >> 1
+        self.succ = u1 | a << 1 | v3 << 2 | v2 << 3 | v1 << 4 | b << 5
+        ok = kind.accepts(u2 + a + v1, u1) & kind.accepts(v4 + b + u2, v2)
+        self.cost = np.where(ok, a + b, _INF).astype(np.float32)[..., None]
+        i = np.arange(4)[:, None]  # u2 | v4 << 1 of t's predecessors
+        self.pre = i & 1 | (_TARGET & 1) << 1 | (i >> 1) << 2 | (_TARGET & 0b11100) << 1
+        self.pre_cost = self.cost[_A | _B << 1, self.pre]
         identity = np.full((_N_STATES, _N_STATES), _INF, dtype=np.float32)
         np.fill_diagonal(identity, 0.0)
         self.power, self.cycle = _suffixes(
             self, identity, lambda L: _ALL_CHOICES, np.inf, (0, np.inf, 1)
         )
-        N, p, _ = self.cycle
+        N, p, d = self.cycle
         stored = np.stack([self.power(L)[0] for L in range(N + p)])
+        # one length at a time: a whole-stack comparison's temporaries
+        # would raise the build's peak memory by about a fifth
+        self.periodic = np.array(
+            [(stored[L + p] == stored[L] + d).all(axis=0) for L in range(N)]
+        )
         diagonals = np.diagonal(stored, axis1=1, axis2=2)
         lows = diagonals.min(axis=1, keepdims=True)
         self.tours = [
@@ -201,6 +229,13 @@ class _Chain:
             raise InfeasibleError(f"no valid {self.kind.value} set exists in P({n},2)")
         return low + d * periods, rows
 
+    def cycle_of(self, rows: np.ndarray) -> tuple[int, int, int]:
+        """The cycle (L_r, p, d) of the columns rows of M^L: L_r <= N is the
+        earliest length from which M^(L+p)[:, rows] = M^L[:, rows] + d."""
+        N, p, d = self.cycle
+        misses = np.flatnonzero(~self.periodic[:, rows].all(axis=1))
+        return (int(misses[-1]) + 1 if misses.size else 0), p, d
+
 
 _CHAINS: dict[DominationKind, _Chain] = {}
 
@@ -215,6 +250,12 @@ def _column_step(table: np.ndarray, choices: np.ndarray, m: _Chain) -> np.ndarra
     """One backward column: T'[s, i] = min over c in choices of
     T[succ[c, s], i] + cost[c, s]."""
     return np.minimum.reduce(table[m.succ[choices]] + m.cost[choices], axis=0)
+
+
+def _gather(forward: np.ndarray, m: _Chain) -> np.ndarray:
+    """One forward column, every choice: F'[t, r] = min over the four
+    predecessors i of F[pre[i, t], r] + pre_cost[i, t, 0]."""
+    return np.minimum.reduce(forward.take(m.pre, axis=0) + m.pre_cost, axis=0)
 
 
 def _suffixes(
@@ -266,7 +307,7 @@ def _suffixes(
 
 
 class _Walk(NamedTuple):
-    """A greedy walk entering a column: forward[r, t] + base is the
+    """A greedy walk entering a column: forward[t, r] + base is the
     cheapest committed prefix from the start interface of suffix table
     column cols[r] to interface t, with forward's minimum 0, and bit the
     bit fixed at the column before."""
@@ -290,8 +331,9 @@ def _greedy_bits(
     """Fix one membership bit per column, left to right: set it exactly
     when some closed tour of cost minimum extends the commitments so far.
 
-    options(j) holds the choices of column j with the bit set and with it
-    unset.  suffix and cycle serve their suffix tables as ``_suffixes``
+    options(j) holds two sets of the interfaces leaving column j, as
+    min-plus columns: those with the bit set and those with it unset.
+    suffix and cycle serve their suffix tables as ``_suffixes``
     returns them, T_0's columns cols being the live start interfaces;
     from column lo on, options repeat wherever the tables do, and a
     repeated walk state there is skipped ahead by whole periods.
@@ -303,22 +345,18 @@ def _greedy_bits(
     hi, P = (n - cycle[0], cycle[1]) if cycle else _NO_PERIOD[1:]
 
     def step(walk: _Walk, j: int) -> _Walk:
-        forward, cols = walk.forward, walk.cols
         yes, no = options(j)
         table, offset = suffix(n - 1 - j)
-        table = table[:, cols]
         goal = minimum - walk.base - offset
-        totals = np.minimum.reduce(forward + _column_step(table, yes, m).T, axis=1)
-        bit = int(np.minimum.reduce(totals) == goal)
-        if len(cols) > 1:
-            if not bit:
-                totals = np.minimum.reduce(forward + _column_step(table, no, m).T, axis=1)
-            live = totals <= goal
-            forward, cols = forward[live], cols[live]
+        forward, cols = _gather(walk.forward, m), walk.cols
+        totals = forward + table.take(cols, axis=1)  # best closed tour via each target
+        bit = int(np.minimum.reduce(totals + yes, axis=None) == goal)
         chosen = yes if bit else no
-        gathered = forward[:, m.pre[chosen]] + m.pre_cost[chosen]
-        forward = np.minimum.reduce(gathered, axis=(1, 3))
-        low = forward.min()
+        forward = forward + chosen
+        if len(cols) > 1:
+            live = np.minimum.reduce(totals + chosen) <= goal
+            forward, cols = forward[:, live], cols[live]
+        low = np.minimum.reduce(forward, axis=None)
         return _Walk(forward - low, cols, walk.base + int(low), bit)
 
     bits = np.empty(n, dtype=np.uint8)
@@ -329,9 +367,9 @@ def _greedy_bits(
             bits[j] = walk.bit
         return walk
 
-    # F[r, t]: prefix cost from T_0's column cols[r], the transpose of T_0
+    # F[t, r]: prefix cost from T_0's column cols[r], which is T_0 itself
     walks, start = _until_repeat(
-        run(_Walk(suffix(0)[0][:, cols].T, cols, 0), 0, lo),
+        run(_Walk(suffix(0)[0][:, cols], cols, 0), 0, lo),
         lambda walk, i: step(walk, lo + i) if lo + i + P < hi else None,
         lambda walk, i: (i % P, walk.cols.tobytes(), walk.forward.tobytes()),
     )
@@ -361,13 +399,15 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     m = _chain(kind)
     minimum, rows = m.closed(n)
 
-    # phase 1: fix outer memberships greedily, inner choices left free
+    # phase 1: fix outer memberships greedily, inner choices left free; a
+    # walk shorter than two periods cannot repeat, whatever its bound
+    cycle = m.cycle_of(rows) if n >= 2 * m.cycle[1] else m.cycle
     u, rows, (a, b, q) = _greedy_bits(
-        m, minimum, rows, lambda j: _OUTER, n, m.power, m.cycle, 0
+        m, minimum, rows, lambda j: _OUTER, n, m.power, cycle, 0
     )
     # phase 2: outer memberships frozen, fix inner memberships greedily
     suffix, cycle = _suffixes(
-        m, m.power(0)[0][:, rows], lambda L: _INNER[u[n - 1 - L]].ravel(),
+        m, m.power(0)[0][:, rows], lambda L: _FIXED_A[u[n - 1 - L]],
         n - 1, (n - b, n - a, q),
     )
     v, _, _ = _greedy_bits(

@@ -27,9 +27,9 @@ from petdom import (
     is_valid,
 )
 from petdom.constructions import (
+    build_construction,
     construct_one_two,
     construct_one_two_total,
-    small_case_set,
 )
 
 K = DominationKind
@@ -78,7 +78,7 @@ def test_criterion_3_small_case_mechanization():
     for n, size in expected_sizes.items():
         g = build_petersen(n, 2)
         result = brute_force_min(g, K.ONE_TWO)
-        table_set = small_case_set(n)
+        table_set = build_construction(n, K.ONE_TWO).vertex_set
         ok &= result.minimum == size
         ok &= is_valid(g, table_set, K.ONE_TWO).valid
         ok &= len(table_set) == result.minimum

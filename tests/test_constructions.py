@@ -7,6 +7,8 @@ from petdom import (
     ConstructionError,
     DominationKind,
     ParameterError,
+    Ring,
+    Vertex,
     build_petersen,
     f_one_two,
     g_one_two_total,
@@ -17,7 +19,6 @@ from petdom.constructions import (
     build_construction,
     construct_one_two,
     construct_one_two_total,
-    small_case_set,
 )
 from petdom.graph import ColumnForm
 from petdom import domination
@@ -26,34 +27,29 @@ import petdom.constructions as constructions
 
 K = DominationKind
 
+# the minimum [1,2]-dominating sets of the paper's small cases, 5 <= n <= 11
+SMALL_CASES = {
+    5: "u1,v1,v3,v4",
+    6: "u1,u4,v1,v4",
+    7: "u0,u4,v1,v2,v3",
+    8: "u1,u4,v1,v4,v6,v7",
+    9: "u1,u4,u7,v1,v4,v7",
+    10: "u1,u4,u7,u8,v1,v4,v7,v8",
+    11: "u1,u4,u7,v1,v4,v7,v9,v10",
+}
+
 
 class TestSmallCases:
-    @pytest.mark.parametrize(
-        "n,expected",
-        [
-            (5, "u1,v1,v3,v4"),
-            (6, "u1,u4,v1,v4"),
-            (7, "u0,u4,v1,v2,v3"),
-            (8, "u1,u4,v1,v4,v6,v7"),
-            (9, "u1,u4,u7,v1,v4,v7"),
-            (10, "u1,u4,u7,u8,v1,v4,v7,v8"),
-            (11, "u1,u4,u7,v1,v4,v7,v9,v10"),
-        ],
-    )
+    @pytest.mark.parametrize("n,expected", list(SMALL_CASES.items()))
     def test_table(self, n, expected):
-        assert small_case_set(n).text() == expected
+        assert build_construction(n, K.ONE_TWO).vertex_set.text() == expected
 
     @pytest.mark.parametrize("n", range(5, 12))
     def test_all_valid_one_two(self, n):
         g = build_petersen(n, 2)
-        S = small_case_set(n)
+        S = build_construction(n, K.ONE_TWO).vertex_set
         assert is_valid(g, S, K.ONE_TWO).valid
         assert len(S) == f_one_two(n)
-
-    @pytest.mark.parametrize("n", [4, 12])
-    def test_rejects_out_of_range(self, n):
-        with pytest.raises(ParameterError, match="5 <= n <= 11"):
-            small_case_set(n)
 
 
 class TestConstructOneTwo:
@@ -77,13 +73,11 @@ class TestConstructOneTwo:
 
     @pytest.mark.parametrize("n", range(5, 12))
     def test_agreement_with_small_cases(self, n):
-        assert construct_one_two(n).members == small_case_set(n).members
+        assert construct_one_two(n).text() == SMALL_CASES[n]
 
     @pytest.mark.parametrize("n", [6, 9, 12, 18, 21, 600])
     def test_periodicity_residues_0_3(self, n):
-        g = build_petersen(n, 2)
-        expected = {g.outer(i) for i in range(1, n, 3)}
-        expected |= {g.inner(i) for i in range(1, n, 3)}
+        expected = {Vertex(ring, i) for ring in Ring for i in range(1, n, 3)}
         assert construct_one_two(n).members == frozenset(expected)
 
     @pytest.mark.parametrize("n", range(5, 120))

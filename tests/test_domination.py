@@ -23,12 +23,11 @@ from petdom import (
     census_inequalities,
     classify_singleton_block,
     component_census,
-    domination_count,
     induced_components,
     is_valid,
 )
 from petdom.constructions import build_construction
-from petdom.domination import form_is_valid
+from petdom.domination import counts, form_is_valid
 from petdom.graph import Block, ColumnForm
 
 K = DominationKind
@@ -60,10 +59,15 @@ def random_subset(n, seed_bits):
     return g, VertexSet.of(v for v, b in zip(verts, seed_bits) if b)
 
 
+def domination_count(g, S, v):
+    """|N(v) & S| read off the neighbour-count kernel."""
+    return int(counts(g.n, g.k, *S.arrays(g.n))[v.ring is Ring.INNER][v.index])
+
+
 class TestDominationCount:
     def test_s5_u0(self):
         g = build_petersen(5, 2)
-        assert domination_count(g, S5, g.outer(0)) == 1
+        assert domination_count(g, S5, Vertex(Ring.OUTER, 0)) == 1
 
     def test_empty_set(self):
         g = build_petersen(8, 2)
@@ -172,7 +176,7 @@ class TestIsValid:
         outside = [
             v
             for v in g.vertices()
-            if v not in S and domination_count(g, S, v) == 1
+            if v not in S and sum(w in S for w in g.neighbors(v)) == 1
         ]
         if not outside:
             return
@@ -243,6 +247,35 @@ class TestFormIsValid:
         with pytest.raises(ParameterError, match="form_is_valid requires motif width"):
             form_is_valid(form, K.PLAIN)
 
+    MOTIF = (0b010, 0b010, 3)
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"repeats": 2.0}, "repeats must be an integer, got 2.0"),
+            ({"repeats": True}, "repeats must be an integer, got True"),
+            ({"motif": (0b010, 0b010, 3.0)}, "motif width must be an integer, got 3.0"),
+            ({"head": (0, 0, 2.0)}, "head width must be an integer, got 2.0"),
+            ({"tail": (0, 0.5, 1)}, "tail inner bits must be an integer, got 0.5"),
+        ],
+    )
+    def test_refuses_non_integer_fields(self, change, message):
+        form = ColumnForm((0, 0, 0), self.MOTIF, 2, (0, 0, 0))._replace(**change)
+        with pytest.raises(ParameterError) as info:
+            form_is_valid(form, K.PLAIN)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_numpy_integer_fields(self, kind):
+        form = ColumnForm((0, 0, 0), self.MOTIF, 3, (0b01, 0b01, 2))
+        wide = ColumnForm(
+            (np.int64(0), np.int64(0), np.int64(0)),
+            tuple(np.int32(x) for x in self.MOTIF),
+            np.int64(3),
+            (np.uint8(1), np.uint8(1), np.int16(2)),
+        )
+        assert form_is_valid(wide, kind) == form_is_valid(form, kind)
+
     @pytest.mark.parametrize("kind", list(K))
     def test_table_forms_at_every_repeat_count(self, kind):
         # valid and invalid verdicts both occur, at repeats below, at and past R0
@@ -301,14 +334,14 @@ class TestClassifySingletonBlock:
     def test_left_outer_example(self):
         g = build_petersen(7, 2)
         b = g.block_at(5)
-        assert set(b.vertices) & S7.members == {g.outer(4)}
+        assert set(b.vertices) & S7.members == {Vertex(Ring.OUTER, 4)}
         assert classify_singleton_block(g, S7, b) is BlockType.LEFT_OUTER
 
     def test_center_outer(self):
         g = build_petersen(7, 2)
         b = g.block_at(6)
         # S7 & block 6 = {u0} = u_{i+1}: right outer
-        assert set(b.vertices) & S7.members == {g.outer(0)}
+        assert set(b.vertices) & S7.members == {Vertex(Ring.OUTER, 0)}
         assert classify_singleton_block(g, S7, b) is BlockType.RIGHT_OUTER
 
     def test_all_four_types_reachable(self):
@@ -451,12 +484,6 @@ class TestMembersOutsideN:
             with pytest.raises(ParameterError) as info:
                 artifact(build_petersen(10, 2), self.S)
             assert str(info.value) == self.MESSAGE
-
-    def test_domination_count(self):
-        g = build_petersen(10, 2)
-        with pytest.raises(ParameterError) as info:
-            domination_count(g, self.S, g.outer(0))
-        assert str(info.value) == self.MESSAGE
 
 
 class TestCensusInequalities:

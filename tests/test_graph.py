@@ -54,15 +54,15 @@ class TestBuild:
 class TestNeighbors:
     def test_outer_p52(self):
         g = build_petersen(5, 2)
-        assert names(g.neighbors(g.outer(0))) == ["u1", "u4", "v0"]
+        assert names(g.neighbors(Vertex(Ring.OUTER, 0))) == ["u1", "u4", "v0"]
 
     def test_inner_p52(self):
         g = build_petersen(5, 2)
-        assert names(g.neighbors(g.inner(0))) == ["u0", "v2", "v3"]
+        assert names(g.neighbors(Vertex(Ring.INNER, 0))) == ["u0", "v2", "v3"]
 
     def test_inner_p82(self):
         g = build_petersen(8, 2)
-        assert set(names(g.neighbors(g.inner(7)))) == {"v1", "v5", "u7"}
+        assert set(names(g.neighbors(Vertex(Ring.INNER, 7)))) == {"v1", "v5", "u7"}
 
     def test_invalid_vertex(self):
         g = build_petersen(5, 2)
@@ -130,14 +130,15 @@ class TestBlocks:
             for w in g.neighbors(a)
             if w in vs
         }
-        i = b.center
+        u = {d: Vertex(Ring.OUTER, (b.center + d) % n) for d in (-1, 0, 1)}
+        v = {d: Vertex(Ring.INNER, (b.center + d) % n) for d in (-1, 0, 1)}
         expected = {
-            frozenset((g.outer(i - 1), g.outer(i))),
-            frozenset((g.outer(i), g.outer(i + 1))),
-            frozenset((g.outer(i - 1), g.inner(i - 1))),
-            frozenset((g.outer(i), g.inner(i))),
-            frozenset((g.outer(i + 1), g.inner(i + 1))),
-            frozenset((g.inner(i - 1), g.inner(i + 1))),
+            frozenset((u[-1], u[0])),
+            frozenset((u[0], u[1])),
+            frozenset((u[-1], v[-1])),
+            frozenset((u[0], v[0])),
+            frozenset((u[1], v[1])),
+            frozenset((v[-1], v[1])),
         }
         assert induced == expected
 
@@ -146,7 +147,7 @@ class TestBlocks:
         # N[u_i] lies inside the block centered at i
         g = build_petersen(n, 2)
         b = g.block_at(i % n)
-        center = g.outer(b.center)
+        center = Vertex(Ring.OUTER, b.center)
         closed = set(g.neighbors(center)) | {center}
         assert closed <= set(b.vertices)
 

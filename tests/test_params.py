@@ -57,8 +57,6 @@ def ints(lo, hi):
 CALLS = {
     "PetersenGraph:n": (lambda v: PetersenGraph(v, 2), ints(-1, 30)),
     "PetersenGraph:k": (lambda v: PetersenGraph(13, v), ints(-1, 8)),
-    "PetersenGraph.outer:i": (G.outer, ints(-20, 20)),
-    "PetersenGraph.inner:i": (G.inner, ints(-20, 20)),
     "PetersenGraph.block_at:i": (G.block_at, ints(-20, 20)),
     "PetersenGraph.vertex:r": (G.vertex, ints(-2, 20)),
     "PetersenGraph.neighbor_ranks:r": (G.neighbor_ranks, ints(-2, 20)),
@@ -91,7 +89,6 @@ CALLS = {
         lambda v: constructions.build_construction(v, K.ONE_TWO_TOTAL),
         ints(0, 60),
     ),
-    "small_case_set:n": (constructions.small_case_set, ints(0, 15)),
     "construct_one_two:n": (constructions.construct_one_two, ints(0, 60)),
     "construct_one_two_total:n": (constructions.construct_one_two_total, ints(0, 60)),
 }

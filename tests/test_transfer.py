@@ -2,9 +2,12 @@ import hashlib
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import petdom.errors as errors
 import petdom.transfer as transfer
@@ -248,16 +251,19 @@ class TestPeriodicChain:
 
     @pytest.mark.parametrize("kind", list(K))
     def test_forward_gather_matches_column_step(self, kind):
-        # one column read forward (predecessors) or backward (successors)
-        # is the same matrix
+        # one column read forward (predecessors, states x rows) or backward
+        # (successors, rows x states) is the same matrix: an interface t is
+        # left by the one choice (a, b) = (bit 1, bit 5) of t, whose backward
+        # step reaches no other target
         chain = transfer._Chain(kind)
         identity, _ = chain.power(0)
+        forward = transfer._gather(identity, chain).T
+        t = np.arange(64)
         for c in range(4):
-            forward = np.minimum.reduce(
-                identity[:, chain.pre[c]] + chain.pre_cost[c], axis=2
-            )
             backward = transfer._column_step(identity, np.array([c]), chain)
-            np.testing.assert_array_equal(forward, backward)
+            targets = ((t >> 1) & 1 | (t >> 5) << 1) == c
+            np.testing.assert_array_equal(forward[:, targets], backward[:, targets])
+            assert (backward[:, ~targets] == np.inf).all()
 
     def test_concurrent_callers_match_serial(self, monkeypatch):
         cases = [(kind, n) for kind in K for n in (5, 13)]
@@ -335,39 +341,61 @@ class TestClosedTours:
         assert str(info.value) == "no valid one-two set exists in P(13,2)"
 
 
+def counting_steps(monkeypatch) -> list[str]:
+    """Records every column step, backward (suffix tables) or forward (walks)."""
+    calls = []
+    for name in ("_column_step", "_gather"):
+        step = getattr(transfer, name)
+        counting = lambda *args, name=name, step=step: calls.append(name) or step(*args)
+        monkeypatch.setattr(transfer, name, counting)
+    return calls
+
+
 class TestPeriodicWalk:
     # the greedy phases skip whole periods, so their work does not grow with n
     @pytest.mark.parametrize("kind", list(K))
     def test_column_steps_bounded(self, kind, monkeypatch):
         transfer._chain(kind)
-        calls = []
-        step = transfer._column_step
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return step(*args, **kwargs)
-
-        monkeypatch.setattr(transfer, "_column_step", counting)
+        calls = counting_steps(monkeypatch)
         for n in (10**3, 10**4, 10**5):
             calls.clear()
             dp_min(n, kind)
             assert len(calls) < 1000, n
 
-    # a deterministic work gate: phase 1 reads the chain's tables, so
-    # stepping its own suffix tables again (64/50/50/52 steps) fails
+    # deterministic work gates: one forward gather per walk column and no
+    # backward step in either walk, so at n = 13 the 26 walk columns and
+    # phase 2's 12 suffix steps; a walk that also stepped each option
+    # backward took 53/38/38/40 backward steps on top of its gathers
     @pytest.mark.parametrize(
         "kind,steps",
-        [(K.PLAIN, 53), (K.TOTAL, 38), (K.ONE_TWO, 38), (K.ONE_TWO_TOTAL, 40)],
+        [(K.PLAIN, 38), (K.TOTAL, 38), (K.ONE_TWO, 38), (K.ONE_TWO_TOTAL, 38)],
     )
     def test_column_steps_at_13(self, kind, steps, monkeypatch):
         transfer._chain(kind)
-        calls = []
-        step = transfer._column_step
-        monkeypatch.setattr(
-            transfer, "_column_step", lambda *args: calls.append(1) or step(*args)
-        )
+        calls = counting_steps(monkeypatch)
         dp_min(13, kind)
         assert len(calls) <= steps
+
+    # at n = 9996..9999, where phase 1 skips from its start rows' own
+    # repeat; the backward-and-forward walk with phase 1 skipping only from
+    # the chain's N took 77/80/119/145, 80/101/97/80, 105/92/95/98 and
+    # 80/103/97/80 backward steps on top of its gathers
+    @pytest.mark.parametrize(
+        "kind,steps",
+        [
+            (K.PLAIN, (47, 50, 53, 71)),
+            (K.TOTAL, (44, 101, 86, 44)),
+            (K.ONE_TWO, (89, 74, 95, 80)),
+            (K.ONE_TWO_TOTAL, (53, 101, 86, 53)),
+        ],
+    )
+    def test_column_steps_near_10000(self, kind, steps, monkeypatch):
+        transfer._chain(kind)
+        calls = counting_steps(monkeypatch)
+        for n, bound in zip(range(9996, 10000), steps, strict=True):
+            calls.clear()
+            dp_min(n, kind)
+            assert len(calls) <= bound, n
 
     @pytest.mark.parametrize("kind", list(K))
     def test_tracemalloc_peak_at_100000(self, kind):
@@ -460,14 +488,48 @@ class TestPeriodicWalk:
         for n, witness in expected.items():
             assert dp_min(n, kind).witness == witness, n
 
+    # the same at any n, so at every residue of each phase's skip bound;
+    # the chains are built before the patch, which would never end theirs
+    @settings(max_examples=30)
+    @given(n=st.integers(5, 400))
+    def test_matches_unskipped_walk_at_any_n(self, n):
+        expected = [dp_min(n, kind).witness for kind in K]
+        until_repeat = transfer._until_repeat
+        with mock.patch.object(
+            transfer,
+            "_until_repeat",
+            lambda first, step, key: until_repeat(first, step, lambda state, i: i),
+        ):
+            assert [dp_min(n, kind).witness for kind in K] == expected
+
+    @staticmethod
+    def repeat_bound(kind, n):
+        """The earliest L_r <= N from which the columns of M^L at n's start
+        rows repeat, M^(L+p)[:, rows] = M^L[:, rows] + d, read off the
+        served powers one length at a time."""
+        chain = transfer._chain(kind)
+        N, p, d = chain.cycle
+        _, rows = chain.closed(n)
+
+        def column(L):
+            table, offset = chain.power(L)
+            return table[:, rows] + offset
+
+        repeats = [np.array_equal(column(L + p), column(L) + d) for L in range(N + 1)]
+        assert repeats[N]
+        return min(L for L in range(N + 1) if all(repeats[L:]))
+
     # phase 1's repeat walk may step column j only while the suffix table
-    # read a period later, T_(n-1-j-P), is in the chain's periodic range,
-    # n - 1 - j - P >= N; at these n it finds no repeat and runs to that bound
+    # read a period later, T_(n-1-j-P), is where the start rows' columns
+    # repeat, n - 1 - j - P >= L_r; at these n it finds no repeat and runs
+    # to that bound, which is below the chain's N for plain and one-two
     @pytest.mark.parametrize(
-        "kind,n", [(K.PLAIN, 23), (K.TOTAL, 22), (K.ONE_TWO, 19), (K.ONE_TWO_TOTAL, 22)]
+        "kind,n", [(K.PLAIN, 24), (K.TOTAL, 22), (K.ONE_TWO, 19), (K.ONE_TWO_TOTAL, 22)]
     )
     def test_phase1_walk_stops_at_its_bound(self, kind, n, monkeypatch):
         N, P, _ = transfer._chain(kind).cycle
+        bound = self.repeat_bound(kind, n)
+        assert (bound < N) == (kind in (K.PLAIN, K.ONE_TWO))
         walks = []
         until_repeat = transfer._until_repeat
 
@@ -487,7 +549,26 @@ class TestPeriodicWalk:
         monkeypatch.setattr(transfer, "_until_repeat", recording)
         dp_min(n, kind)
         phase1 = walks[0]  # it starts at column 0, so step i is column i
-        assert min(n - 1 - j - P for j in phase1) == N
+        assert min(n - 1 - j - P for j in phase1) == bound
+
+    # where phase 1 repeats, it tiles whole periods up to that bound: its
+    # stretch (a, b, q) ends within one period q of n - L_r
+    @pytest.mark.parametrize("n", [9996, 9997, 1001])
+    @pytest.mark.parametrize("kind", list(K))
+    def test_phase1_skip_reaches_its_bound(self, kind, n, monkeypatch):
+        stretches = []
+        greedy_bits = transfer._greedy_bits
+
+        def recording(*args):
+            result = greedy_bits(*args)
+            stretches.append(result[2])
+            return result
+
+        monkeypatch.setattr(transfer, "_greedy_bits", recording)
+        dp_min(n, kind)
+        _, b, q = stretches[0]
+        hi = n - self.repeat_bound(kind, n)
+        assert b <= hi < b + q
 
 
 class TestIntegerMinimum:
