@@ -234,7 +234,8 @@ def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockT
     """Classify a block of g with exactly one member of S.
 
     Raises ParameterError when g has k != 2, b is a block of another n or
-    centered outside [0, n), or |b & S| != 1, and
+    centered outside [0, n), S has a member outside [0, n), or
+    |b & S| != 1, and
     ClassificationImpossibleError when the unique member is v_{i-1} or
     v_{i+1}, which would leave the block's central vertex undominated and
     therefore contradicts S being a valid [1,2]-dominating set.
@@ -244,6 +245,7 @@ def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockT
         raise ParameterError(f"block of P({b.n},2) given for P({g.n},2)")
     if not 0 <= b.center < g.n:
         raise ParameterError(f"block center {b.center} is not a column of P({g.n},2)")
+    S.require_below(g.n)
     n, i = g.n, b.center
     hit = [(ring, d) for ring, mask in zip(Ring, (S.outer, S.inner))
            for d in (-1, 0, 1) if mask >> (i + d) % n & 1]

@@ -9,8 +9,9 @@ numbered by rank in canonical order (u_i is rank i, v_i rank n + i), and
 Every layer shares one vertex-set representation, two bitmasks (see
 ``VertexSet``), and walks ranks; ``Vertex`` objects are built only at the
 edges: parsing a single name, the results of queries and the derived
-views of a set.  Names are rendered and parsed as whole byte arrays, with no
-Python step per name (on 2 cores, 6,665 names: 0.15 ms out, 0.5 ms in).
+views of a set.  Names are rendered from one byte matrix; well-formed names
+are read back by numpy's text parser, with no Python step per name, and any
+other names one by one by ``parse_vertex``.
 
 The proof-oriented blocks of P(n,2) are six-vertex windows
 {v_{i-1}, v_i, v_{i+1}, u_{i-1}, u_i, u_{i+1}} centered at each column i,
@@ -53,9 +54,10 @@ class Ring(Enum):
 
 
 _VERTEX_RE = re.compile(r"[uv]\d+")
-# names joined by commas, in ASCII, so each character is one byte of its encoding;
-# the possessive repeat keeps no backtracking state per name
-_NAMES_RE = re.compile(rf"{_VERTEX_RE.pattern}(?:,{_VERTEX_RE.pattern})*+", re.ASCII)
+# names of at most 18 ASCII digits, which int64 holds, joined by commas; the
+# possessive repeat keeps no backtracking state per name
+_NAMES_RE = re.compile(r"[uv]\d{1,18}(?:,[uv]\d{1,18})*+", re.ASCII)
+_BLANK_LETTERS = bytes.maketrans(b"uv", b"  ")
 # per width w, a name's row "u<w digits>," with each byte less ord("0") (wrapping)
 _FRAMES = [np.array([[ord("u"), *b"0" * w, ord(",")]], np.uint8) - 48 for w in range(20)]
 
@@ -83,18 +85,14 @@ class Vertex:
         return f"Vertex({self.name})"
 
 
-def _parse(name: str, n: int) -> tuple[str, int]:
-    """The ring letter and the index mod n of a name "u<i>" / "v<i>"."""
+def parse_vertex(name: str, n: int) -> Vertex:
+    """Parse "u<i>" / "v<i>", blanks around it stripped, into a Vertex,
+    reducing the index mod n."""
+    n = require_int("n", n, 1)
     s = name.strip() if isinstance(name, str) else ""
     if not _VERTEX_RE.fullmatch(s):
         raise ParameterError(f"vertex name must match u<i> or v<i>, got {name!r}")
-    return s[0], int(s[1:]) % n
-
-
-def parse_vertex(name: str, n: int) -> Vertex:
-    """Parse "u<i>" / "v<i>" into a Vertex, reducing the index mod n."""
-    letter, index = _parse(name, require_int("n", n, 1))
-    return Vertex(Ring(letter), index)
+    return Vertex(Ring(s[0]), int(s[1:]) % n)
 
 
 def _unpack(mask: int, n: int) -> np.ndarray:
@@ -110,8 +108,11 @@ def _pack(bits: np.ndarray) -> int:
 
 
 def _mask(indices: list[int] | np.ndarray) -> int:
-    """The int whose bit i is set exactly when i is in indices (all >= 0)."""
-    bits = np.zeros(int(np.max(indices, initial=-1)) + 1, dtype=bool)
+    """The int whose bit i is set exactly when i is in indices (all >= 0);
+    SizeLimitError for more than 2^23 bits."""
+    top = int(np.max(indices, initial=-1))
+    check_columns(top + 1)
+    bits = np.zeros(top + 1, dtype=bool)
     bits[indices] = True
     return _pack(bits)
 
@@ -156,7 +157,8 @@ class VertexSet:
 
         A str is split on commas and its blank pieces dropped.  Each name
         is "u<i>" or "v<i>", i decimal digits, with blanks around it
-        stripped.  The first bad name, or n < 1, raises ParameterError.
+        stripped.  The first bad name, or n < 1, raises ParameterError, and
+        an index mod n of 2^23 or more SizeLimitError.
         """
         n = require_int("n", n, 1)
         text = names  # a str is matched whole and split only on the slow path
@@ -164,50 +166,42 @@ class VertexSet:
             names = list(names)
             try:
                 text = ",".join(names)
-            except TypeError:  # a name that is not a str, which _parse refuses
+            except TypeError:  # a name that is not a str, which parse_vertex refuses
                 text = ""
-        # padded or bad names, and i or n past int64, are left to _parse
+        # padded or bad names, and i or n past int64, are left to parse_vertex
         if _NAMES_RE.fullmatch(text) and n < 2**63:
-            raw = np.frombuffer((text + ",").encode(), np.uint8)
-            heads = (raw >= ord("u")).nonzero()[0]  # the letter of each name
-            ends = (raw == ord(",")).nonzero()[0]  # the comma after it
-            # one name per list item, with at most 18 digits each
-            per_item = isinstance(names, str) or heads.size == len(names)
-            if per_item and (longest := (ends - heads).max() - 1) <= 18:
-                digit = raw - ord("0")
-                digit[heads] = 0  # read for the places before a name's first digit
-                index, at = np.zeros(heads.size, np.int64), np.empty_like(ends)
-                for back in range(longest, 0, -1):  # one gather per digit position
-                    np.subtract(ends, back, out=at)
-                    index *= 10
-                    index += digit[np.maximum(at, heads, out=at)]
+            raw = text.encode()
+            index = np.fromstring(raw.translate(_BLANK_LETTERS), np.int64, sep=",")
+            if isinstance(names, str) or index.size == len(names):  # one name per item
+                letters = raw.translate(None, b"0123456789,")  # each name's letter
+                inner = np.frombuffer(letters, np.uint8) == ord("v")
                 index %= n
-                span = int(index.max()) + 1  # v_i is bit span + i
-                both = _mask(np.add(index, span, out=index, where=raw[heads] == ord("v")))
-                return cls(both & (1 << span) - 1, both >> span)
+                return cls(_mask(index[~inner]), _mask(index[inner]))
         if isinstance(names, str):
             names = [s for s in names.split(",") if s.strip()]
-        indices: dict[str, list[int]] = {"u": [], "v": []}
-        for name in names:
-            letter, index = _parse(name, n)
-            indices[letter].append(index)
-        return cls(_mask(indices["u"]), _mask(indices["v"]))
+        return cls.of(parse_vertex(name, n) for name in names)
 
     @classmethod
     def from_arrays(cls, outer: np.ndarray, inner: np.ndarray) -> "VertexSet":
         """The set of u_i with outer[i] != 0 and v_i with inner[i] != 0."""
         return cls(_pack(outer), _pack(inner))
 
+    def require_below(self, n: int) -> None:
+        """Raise ParameterError naming the first member with index >= n,
+        read from the masks' high bits without building arrays."""
+        n = require_int("n", n, 0)
+        for ring, mask in ((Ring.OUTER, self.outer), (Ring.INNER, self.inner)):
+            if high := mask >> n:
+                v = Vertex(ring, n + (high & -high).bit_length() - 1)
+                raise ParameterError(f"vertex {v.name} has index outside [0, {n})")
+
     def arrays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Length-n uint8 membership arrays (outer, inner) of S; raises
-        ParameterError naming the first member with index >= n, and
-        SizeLimitError for n above 2^23."""
+        ParameterError naming the first member with index >= n (see
+        ``require_below``), and SizeLimitError for n above 2^23."""
         n = require_int("n", n, 0)
         check_columns(n)
-        for ring, mask in ((Ring.OUTER, self.outer), (Ring.INNER, self.inner)):
-            if mask >> n:
-                v = Vertex(ring, n + _indices(mask >> n)[0])
-                raise ParameterError(f"vertex {v.name} has index outside [0, {n})")
+        self.require_below(n)
         return _unpack(self.outer, n), _unpack(self.inner, n)
 
     @property

@@ -246,16 +246,11 @@ def _chain(kind: DominationKind) -> _Chain:
     return _CHAINS[kind]
 
 
-def _column_step(table: np.ndarray, choices: np.ndarray, m: _Chain) -> np.ndarray:
-    """One backward column: T'[s, i] = min over c in choices of
-    T[succ[c, s], i] + cost[c, s]."""
-    return np.minimum.reduce(table[m.succ[choices]] + m.cost[choices], axis=0)
-
-
-def _gather(forward: np.ndarray, m: _Chain) -> np.ndarray:
-    """One forward column, every choice: F'[t, r] = min over the four
-    predecessors i of F[pre[i, t], r] + pre_cost[i, t, 0]."""
-    return np.minimum.reduce(forward.take(m.pre, axis=0) + m.pre_cost, axis=0)
+def _step(table: np.ndarray, index: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """One min-plus column: T'[s, i] = min over c of T[index[c, s], i] +
+    cost[c, s, 0].  Backward (suffix tables) it takes succ and cost at the
+    allowed choices, forward (walks) pre and pre_cost."""
+    return np.minimum.reduce(table.take(index, axis=0) + cost, axis=0)
 
 
 def _suffixes(
@@ -278,7 +273,10 @@ def _suffixes(
     lo, hi, P = stretch
 
     def step(table: np.ndarray, L: int) -> np.ndarray | None:
-        return _column_step(table, choices(L), m) if L < top else None
+        if L >= top:
+            return None
+        c = choices(L)
+        return _step(table, m.succ[c], m.cost[c])
 
     def key(table: np.ndarray, L: int) -> Hashable:
         return ((L - lo) % P, _less_min(table)) if lo <= L <= hi else L
@@ -348,7 +346,7 @@ def _greedy_bits(
         yes, no = options(j)
         table, offset = suffix(n - 1 - j)
         goal = minimum - walk.base - offset
-        forward, cols = _gather(walk.forward, m), walk.cols
+        forward, cols = _step(walk.forward, m.pre, m.pre_cost), walk.cols
         totals = forward + table.take(cols, axis=1)  # best closed tour via each target
         bit = int(np.minimum.reduce(totals + yes, axis=None) == goal)
         chosen = yes if bit else no

@@ -153,8 +153,9 @@ class TestRangeBounds:
             (["table", "--from", "9", "--to", "7"], "lo <= hi"),
             (["construct", "--n", "8388609", "--kind", "one-two"], "2^23 = 8388608"),
             (["census", "--n", "8388609", "--set", "u1"], "2^23 = 8388608"),
+            (["census", "--n", str(10**18), "--set", "u" + "9" * 17], "2^23 = 8388608"),
         ],
-        ids=["verify-lo", "table-empty", "construct-size", "census-size"],
+        ids=["verify-lo", "table-empty", "construct-size", "census-size", "census-index"],
     )
     def test_usage_error_names_bound(self, capsys, argv, bound):
         code, out, err = run(capsys, *argv)

@@ -478,6 +478,13 @@ class TestMembersOutsideN:
             blocks_by_count(build_petersen(10, 2), self.S)
         assert str(info.value) == self.MESSAGE
 
+    def test_classify_singleton_block(self):
+        # the block at 1 holds u1 alone; u50 lies outside P(10,2)
+        g = build_petersen(10, 2)
+        with pytest.raises(ParameterError) as info:
+            classify_singleton_block(g, self.S, g.block_at(1))
+        assert str(info.value) == self.MESSAGE
+
     def test_induced_components_before_census_error(self):
         # u1 alone in P(10,2) has induced degree 0, but u50 is refused first
         for artifact in (induced_components, component_census):

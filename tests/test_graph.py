@@ -9,6 +9,7 @@ from petdom import (
     DominationKind,
     ParameterError,
     Ring,
+    SizeLimitError,
     Vertex,
     VertexSet,
     build_petersen,
@@ -267,6 +268,7 @@ class TestVertexSetModel:
             (["v123456789012345678", "v" + "0" * 17 + "5", "u000", "u99"], 1000),
             (["u007", "v" + "0" * 17 + "7", "u" + "0" * 15 + "42"], 2**63 - 1),
             (["v0", "u1", "v1"], 2**63 - 2),
+            ([f"u{2**23 - 1}", "v0"], 10**18),  # the largest index the masks take
         ],
     )
     def test_from_names_long_indices_on_fast_path(self, names, n, monkeypatch):
@@ -274,11 +276,28 @@ class TestVertexSetModel:
         # be as large as int64 allows
         model = VertexSet.of(parse_vertex(name, n) for name in names)
         calls = []
-        parse = graph._parse
-        monkeypatch.setattr(graph, "_parse", lambda *args: calls.append(1) or parse(*args))
+        parse = graph.parse_vertex
+        monkeypatch.setattr(graph, "parse_vertex", lambda *args: calls.append(1) or parse(*args))
         assert VertexSet.from_names(names, n) == model
         assert VertexSet.from_names(",".join(names), n) == model
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "names,n,top",
+        [
+            ("u" + "9" * 17, 10**18, 10**17 - 1),
+            (["v" + "9" * 17, "u1"], 10**18, 10**17 - 1),
+            (f" u{2**23} ", 2**64, 2**23),  # padded and n past int64: per name
+            (f"v{2**23}", 2**23 + 1, 2**23),
+        ],
+    )
+    def test_from_names_refuses_index_past_size_limit(self, names, n, top):
+        # the masks would hold top + 1 bits; refused before allocating them
+        with pytest.raises(SizeLimitError) as info:
+            VertexSet.from_names(names, n)
+        assert str(info.value) == (
+            f"a call materialises at most 2^23 = 8388608 columns, got {top + 1}"
+        )
 
     def test_from_names_rejects_bad_name(self):
         with pytest.raises(ParameterError, match="must match u<i> or v<i>, got 'w3'"):
@@ -325,8 +344,8 @@ class TestVertexSetModel:
         n = 10**5
         S = dp_min(n, DominationKind.ONE_TWO).witness
         calls = []
-        parse = graph._parse
-        monkeypatch.setattr(graph, "_parse", lambda *args: calls.append(1) or parse(*args))
+        parse = graph.parse_vertex
+        monkeypatch.setattr(graph, "parse_vertex", lambda *args: calls.append(1) or parse(*args))
         assert VertexSet.from_names(S.names(), n) == S
         assert VertexSet.from_names(S.text(), n) == S
         assert calls == []
@@ -377,6 +396,17 @@ class TestVertexSetModel:
         with pytest.raises(ParameterError, match=r"vertex v9 has index outside \[0, 5\)"):
             S.arrays(5)
         assert S.arrays(10)[1].tolist() == [0, 0, 1, 0, 0, 0, 0, 0, 0, 1]
+
+    def test_require_below_names_first_member_past_n(self):
+        # outer ring first, lowest index first; no arrays, so any n is taken
+        S = VertexSet(1 << 9 | 1 << 40, 1 << 7)
+        with pytest.raises(ParameterError, match=r"vertex u9 has index outside \[0, 6\)"):
+            S.require_below(6)
+        with pytest.raises(ParameterError, match=r"vertex v7 has index outside \[0, 7\)"):
+            VertexSet(0, S.inner).require_below(7)
+        with pytest.raises(ParameterError, match=r"vertex u40 has index outside \[0, 10\)"):
+            S.require_below(10)
+        assert S.require_below(10**18) is None
 
 
 class TestColumnForm:

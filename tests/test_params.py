@@ -64,6 +64,7 @@ CALLS = {
     "VertexSet:inner": (lambda v: VertexSet(0b101, v), ints(-2, 40)),
     "VertexSet.from_names:n": (lambda v: VertexSet.from_names("u1,v12,u30", v), ints(-2, 40)),
     "VertexSet.arrays:n": (lambda v: VertexSet(0b10, 0b1000).arrays(v), ints(-2, 12)),
+    "VertexSet.require_below:n": (VertexSet(0b10, 0b1000).require_below, ints(-2, 12)),
     "build_petersen:n": (lambda v: build_petersen(v, 2), ints(-1, 30)),
     "build_petersen:k": (lambda v: build_petersen(13, v), ints(-1, 8)),
     "parse_vertex:n": (lambda v: parse_vertex("v12", v), ints(-2, 20)),

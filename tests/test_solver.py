@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import petdom.solver as solver
+import petdom.transfer as transfer
 from petdom import (
     DominationKind,
     InfeasibleError,
@@ -20,6 +21,8 @@ from petdom import (
     brute_force_min,
     build_petersen,
     check_eq1,
+    dp_min,
+    dp_minima,
     enumerate_eq1,
     f_one_two,
     pair_profile,
@@ -197,6 +200,19 @@ class TestExactSearch:
             brute_force_min(g, K.ONE_TWO, budget=f_one_two(13) - 1)
         assert len(calls) - plain <= 2_200
         assert len(calls) <= 6_500
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_matches_dp_over_base_range(self, kind, monkeypatch):
+        # the closed forms for all n rest on the DP's minima for n = 5..N+p,
+        # (N, p) the chain's cycle: the search, which shares no code with the
+        # transfer matrix, confirms each minimum and witness, past 2n = 26
+        N, p, _ = transfer._chain(kind).cycle
+        monkeypatch.setattr(solver, "BRUTE_FORCE_VERTEX_LIMIT", 2 * (N + p))
+        minima = dp_minima(5, N + p, kind)
+        for n, minimum in zip(range(5, N + p + 1), minima, strict=True):
+            result = brute_force_min(build_petersen(n, 2), kind)
+            assert result.minimum == minimum, n
+            assert result.witness == dp_min(n, kind).witness, n
 
 
 class TestSolveResultInvariant:

@@ -92,7 +92,8 @@ def _fast_path(func):
 
 def test_name_codec_takes_no_step_per_name():
     # names are rendered and parsed as whole arrays: no comprehension,
-    # f-string, map or loop over names; the one loop runs over digit positions
+    # f-string, map or loop over names; rendering's one loop runs over digit
+    # positions, and parsing has none
     tree = _tree("graph.py")
     parts = {
         "names": _method(tree, "VertexSet", "names"),
@@ -116,7 +117,7 @@ def test_name_codec_takes_no_step_per_name():
                 if not (isinstance(over, ast.Call) and getattr(over.func, "id", None) == "range"):
                     found.append((part, "for", node.lineno))
     assert found == []
-    assert loops == {"text": 1, "from_names fast path": 1}
+    assert loops == {"text": 1}
 
 
 def test_blocks_and_components_build_no_vertex():

@@ -32,6 +32,11 @@ from petdom.constructions import build_construction
 K = DominationKind
 
 
+def column_step(table, choices, m):
+    """One backward column under choices, as the suffix tables step it."""
+    return transfer._step(table, m.succ[choices], m.cost[choices])
+
+
 class TestDpExamples:
     @pytest.mark.parametrize(
         "n,kind,expected",
@@ -214,10 +219,8 @@ class TestPeriodicChain:
         chain = transfer._Chain(kind)
         assert chain.cycle == cycle
         calls = []
-        step = transfer._column_step
-        monkeypatch.setattr(
-            transfer, "_column_step", lambda *args: calls.append(1) or step(*args)
-        )
+        step = transfer._step
+        monkeypatch.setattr(transfer, "_step", lambda *args: calls.append(1) or step(*args))
         assert all(chain.power(length)[0].shape == (64, 64) for length in range(200))
         assert calls == []
 
@@ -228,7 +231,7 @@ class TestPeriodicChain:
         for length in range(80):
             periodic, offset = chain.power(length)
             np.testing.assert_array_equal(periodic + offset, table)
-            table = transfer._column_step(table, transfer._ALL_CHOICES, chain)
+            table = column_step(table, transfer._ALL_CHOICES, chain)
 
     @pytest.mark.parametrize("kind", list(K))
     def test_one_column_matrix(self, kind):
@@ -257,10 +260,10 @@ class TestPeriodicChain:
         # step reaches no other target
         chain = transfer._Chain(kind)
         identity, _ = chain.power(0)
-        forward = transfer._gather(identity, chain).T
+        forward = transfer._step(identity, chain.pre, chain.pre_cost).T
         t = np.arange(64)
         for c in range(4):
-            backward = transfer._column_step(identity, np.array([c]), chain)
+            backward = column_step(identity, np.array([c]), chain)
             targets = ((t >> 1) & 1 | (t >> 5) << 1) == c
             np.testing.assert_array_equal(forward[:, targets], backward[:, targets])
             assert (backward[:, ~targets] == np.inf).all()
@@ -307,7 +310,7 @@ class TestClosedTours:
             minimum, rows = chain.closed(n)
             assert minimum == int(diagonal.min()), n
             np.testing.assert_array_equal(rows, np.flatnonzero(diagonal == diagonal.min()))
-            table = transfer._column_step(table, transfer._ALL_CHOICES, chain)
+            table = column_step(table, transfer._ALL_CHOICES, chain)
 
     @pytest.mark.parametrize("kind", list(K))
     def test_dp_minima_steps_no_column(self, kind, monkeypatch):
@@ -315,10 +318,8 @@ class TestClosedTours:
         # no column step and no power per n
         chain = transfer._chain(kind)
         calls = []
-        step, power = transfer._column_step, chain.power
-        monkeypatch.setattr(
-            transfer, "_column_step", lambda *args: calls.append("step") or step(*args)
-        )
+        step, power = transfer._step, chain.power
+        monkeypatch.setattr(transfer, "_step", lambda *args: calls.append("step") or step(*args))
         monkeypatch.setattr(chain, "power", lambda L: calls.append("power") or power(L))
         minima = dp_minima(5, 10**5, kind)
         assert calls == []
@@ -341,13 +342,11 @@ class TestClosedTours:
         assert str(info.value) == "no valid one-two set exists in P(13,2)"
 
 
-def counting_steps(monkeypatch) -> list[str]:
+def counting_steps(monkeypatch) -> list[int]:
     """Records every column step, backward (suffix tables) or forward (walks)."""
     calls = []
-    for name in ("_column_step", "_gather"):
-        step = getattr(transfer, name)
-        counting = lambda *args, name=name, step=step: calls.append(name) or step(*args)
-        monkeypatch.setattr(transfer, name, counting)
+    step = transfer._step
+    monkeypatch.setattr(transfer, "_step", lambda *args: calls.append(1) or step(*args))
     return calls
 
 
@@ -433,7 +432,7 @@ class TestPeriodicWalk:
             for length in range(top + 1):
                 got, offset = served(length)
                 np.testing.assert_array_equal(got + offset, table)
-                table = transfer._column_step(table, choices(length), m)
+                table = column_step(table, choices(length), m)
 
         monkeypatch.setattr(transfer, "_suffixes", recording)
         monkeypatch.setattr(transfer, "_CHAINS", {})
@@ -472,7 +471,7 @@ class TestPeriodicWalk:
         for length in range(hi + 13):
             got, offset = served(length)
             np.testing.assert_array_equal(got + offset, table)
-            table = transfer._column_step(table, transfer._ALL_CHOICES, chain)
+            table = column_step(table, transfer._ALL_CHOICES, chain)
 
     @pytest.mark.parametrize("kind", list(K))
     def test_matches_unskipped_walk(self, kind, monkeypatch):
