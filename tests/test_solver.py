@@ -348,6 +348,15 @@ class TestEnumerateEq1:
         got = [x.values for x in enumerate_eq1(10)]
         assert got == sorted(got)
 
+    def test_output_pinned(self):
+        # sha256 of the repr of every profile list over the guarded range,
+        # recorded from the search with a min-completion table
+        import hashlib
+
+        got = repr([[x.values for x in enumerate_eq1(n)] for n in range(5, 21)])
+        digest = hashlib.sha256(got.encode()).hexdigest()
+        assert digest == "76d61b70096ccfc0e111464866e66676136b06da40851ec1b3cba2c79a0eede6"
+
 
 class TestProfileConsistency:
     def test_one_two_witnesses(self):
