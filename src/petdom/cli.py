@@ -6,13 +6,15 @@ produce byte-identical stdout.  The argument parser is built once, when
 the module is imported, and every ``main`` call parses with it.
 
 Exit codes: 0 success, 1 semantic failure (formula mismatch or invalid
-input set), 2 usage error, 3 internal invariant breach.
+input set), 2 usage error, 3 internal invariant breach, 141 (128 + SIGPIPE)
+when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .constructions import build_construction
@@ -27,6 +29,7 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
@@ -236,7 +239,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's final flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

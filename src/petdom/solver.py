@@ -296,54 +296,38 @@ def check_eq1(x: PairProfile, n: int) -> Eq1Check:
     window_ok = all(
         vals[i] + vals[(i + 1) % n] + vals[(i + 2) % n] >= 2 for i in range(n)
     )
-    return Eq1Check(True, window_ok, sum(vals) < target)
+    return Eq1Check(True, window_ok, bool(sum(vals) < target))
 
 
 def enumerate_eq1(n: int) -> list[PairProfile]:
     """All profiles satisfying check_eq1 completely, in lexicographic order.
 
-    Backtracking over {0,1,2}^n with the window constraint checked
-    incrementally and a minimum-completion bound pruning on the running
-    sum; cyclic windows are validated at closure.  Guarded to
-    5 <= n <= 20.
+    Depth first over {0,1,2}^n: each window is checked when its third
+    entry is placed, and the two wrap-around windows when the profile is
+    complete.  With p entries placed, an entry v is tried only while
+    total + v + 2 * ((n - p - 1) // 3) < f(n): the entries still to place
+    split into disjoint consecutive triples, each summing to at least 2.
+    Guarded to 5 <= n <= 20.
     """
     n = require_int("n", n, 5, 20, "enumerate_eq1")
     target = f_one_two(n)
-
-    # min_rest[k][a][b]: minimal total of k further entries when the two
-    # previous entries are (a, b), ignoring the cyclic closure
-    min_rest = [[[0] * 3 for _ in range(3)] for _ in range(n + 1)]
-    for k in range(1, n + 1):
-        for a in range(3):
-            for b in range(3):
-                # v = 2 always passes the window, so the min is never empty
-                min_rest[k][a][b] = min(
-                    v + min_rest[k - 1][b][v] for v in range(3) if a + b + v >= 2
-                )
-
     out: list[PairProfile] = []
-    prefix: list[int] = []
+    x: list[int] = []
 
     def extend(total: int) -> None:
-        p = len(prefix)
+        p = len(x)
         if p == n:
-            if (
-                prefix[n - 2] + prefix[n - 1] + prefix[0] >= 2
-                and prefix[n - 1] + prefix[0] + prefix[1] >= 2
-            ):
-                out.append(PairProfile(tuple(prefix)))
+            if x[-2] + x[-1] + x[0] >= 2 and x[-1] + x[0] + x[1] >= 2:
+                out.append(PairProfile(tuple(x)))
             return
-        a = prefix[p - 2] if p >= 2 else 2
-        b = prefix[p - 1] if p >= 1 else 2
+        rest = 2 * ((n - p - 1) // 3)
         for v in range(3):
-            if a + b + v < 2:
-                continue
-            new_total = total + v
-            if new_total + min_rest[n - p - 1][b][v] >= target:
-                continue
-            prefix.append(v)
-            extend(new_total)
-            prefix.pop()
+            if total + v + rest >= target:
+                return
+            if p < 2 or x[-2] + x[-1] + v >= 2:
+                x.append(v)
+                extend(total + v)
+                x.pop()
 
     extend(0)
     return out

@@ -397,11 +397,9 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     m = _chain(kind)
     minimum, rows = m.closed(n)
 
-    # phase 1: fix outer memberships greedily, inner choices left free; a
-    # walk shorter than two periods cannot repeat, whatever its bound
-    cycle = m.cycle_of(rows) if n >= 2 * m.cycle[1] else m.cycle
+    # phase 1: fix outer memberships greedily, inner choices left free
     u, rows, (a, b, q) = _greedy_bits(
-        m, minimum, rows, lambda j: _OUTER, n, m.power, cycle, 0
+        m, minimum, rows, lambda j: _OUTER, n, m.power, m.cycle_of(rows), 0
     )
     # phase 2: outer memberships frozen, fix inner memberships greedily
     suffix, cycle = _suffixes(

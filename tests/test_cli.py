@@ -1,9 +1,14 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import petdom
 from petdom.cli import main
 from petdom.constructions import construct_one_two_total
 
@@ -178,6 +183,34 @@ def test_parser_built_once(capsys, monkeypatch):
                  ["solve", "--n", "9", "--kind", "bogus"], ["--help"]):
         run(capsys, *argv)
     assert built == []
+
+
+
+def petdom_process(*argv):
+    """``python -m petdom.cli argv`` in a child process, stdout piped."""
+    src = str(Path(petdom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.Popen(
+        [sys.executable, "-m", "petdom.cli", *argv], env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+
+
+class TestProcess:
+    def test_stdout_matches_main(self, capsys):
+        argv = ("eq1", "--n", "10", "--format", "csv")
+        out, err = petdom_process(*argv).communicate(timeout=60)
+        assert (out.decode(), err) == (run(capsys, *argv)[1], b"")
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # the table is far longer than a pipe buffer, so the writer is still
+        # writing when the reader goes away
+        proc = petdom_process("table", "--from", "5", "--to", "20000", "--format", "csv")
+        assert proc.stdout.read(100).startswith(b"n,gamma_ref,")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
 
 
 class TestCensus:

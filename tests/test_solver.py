@@ -205,7 +205,19 @@ class TestExactSearch:
     def test_matches_dp_over_base_range(self, kind, monkeypatch):
         # the closed forms for all n rest on the DP's minima for n = 5..N+p,
         # (N, p) the chain's cycle: the search, which shares no code with the
-        # transfer matrix, confirms each minimum and witness, past 2n = 26
+        # transfer matrix, confirms each minimum and witness, past 2n = 26.
+        # A work gate too, about 7% above the range's _dfs calls: 219,445,
+        # 10,140, 235,775 and 9,781
+        nodes = {K.PLAIN: 235_000, K.TOTAL: 10_900, K.ONE_TWO: 252_000,
+                 K.ONE_TWO_TOTAL: 10_500}[kind]
+        calls = []
+        dfs = solver._ExactSearch._dfs
+
+        def counting(self, *args):
+            calls.append(1)
+            return dfs(self, *args)
+
+        monkeypatch.setattr(solver._ExactSearch, "_dfs", counting)
         N, p, _ = transfer._chain(kind).cycle
         monkeypatch.setattr(solver, "BRUTE_FORCE_VERTEX_LIMIT", 2 * (N + p))
         minima = dp_minima(5, N + p, kind)
@@ -213,6 +225,7 @@ class TestExactSearch:
             result = brute_force_min(build_petersen(n, 2), kind)
             assert result.minimum == minimum, n
             assert result.witness == dp_min(n, kind).witness, n
+        assert len(calls) <= nodes
 
 
 class TestSolveResultInvariant:
@@ -300,6 +313,18 @@ class TestCheckEq1:
         with pytest.raises(ParameterError):
             check_eq1(PairProfile((1, 1)), 6)
 
+    def test_numpy_profile_reports_python_bools(self):
+        import dataclasses
+        import json
+
+        x = PairProfile(tuple(np.array([1, 1, 0] * 3 + [1])))
+        report = check_eq1(x, 10)
+        flags = (report.bounds_ok, report.window_ok, report.sum_ok, report.all_ok)
+        assert [type(flag) for flag in flags] == [bool] * 4
+        assert json.loads(json.dumps(dataclasses.asdict(report))) == {
+            "bounds_ok": True, "window_ok": True, "sum_ok": True
+        }
+
 
 def exhaustive_eq1(n):
     """Independent oracle: test every sequence in {0,1,2}^n directly."""
@@ -347,6 +372,40 @@ class TestEnumerateEq1:
     def test_lexicographic_order(self):
         got = [x.values for x in enumerate_eq1(10)]
         assert got == sorted(got)
+
+    def test_characterization_for_every_n(self):
+        # the window system as a 9-state min-plus matrix over pairs (a, b)
+        # of consecutive entries: entry v steps (a, b) to (b, v) at cost v
+        # when a + b + v >= 2.  A closed walk of n steps is a cyclic profile
+        # of length n costing its sum, so the least diagonal entry of M^n is
+        # the least sum of any profile at n
+        M = np.full((9, 9), np.inf)
+        for a, b, v in product(range(3), repeat=3):
+            if a + b + v >= 2:
+                M[3 * a + b, 3 * b + v] = v
+        powers, seen = [np.where(np.eye(9) == 1, 0.0, np.inf)], {}
+        while True:
+            # M^L less its minimum repeats first at L = N + p
+            key = (powers[-1] - powers[-1].min()).tobytes()
+            if key in seen:
+                break
+            seen[key] = len(powers) - 1
+            powers.append((powers[-1][:, :, None] + M).min(axis=1))
+        N = seen[key]
+        p = len(powers) - 1 - N
+        lam = powers[N + p].min() - powers[N].min()
+        assert (N, p, lam) == (3, 3, 2)
+        while len(powers) <= 20:
+            powers.append((powers[-1][:, :, None] + M).min(axis=1))
+        closed = {n: int(powers[n].diagonal().min()) for n in range(5, 21)}
+        # M^(n+p) = M^n + lam from n = N on, so the least sum grows by 4
+        # every 6, and so does f(n) at every residue: n = 5..10 settles all n
+        for n in range(5, 11):
+            assert (closed[n] < f_one_two(n)) == (n % 6 == 4), n
+            assert closed[n + 6] - closed[n] == 4 == f_one_two(n + 6) - f_one_two(n), n
+        for n in range(5, 21):
+            sums = {sum(x.values) for x in enumerate_eq1(n)}
+            assert sums == ({closed[n]} if n % 6 == 4 else set()), n
 
     def test_output_pinned(self):
         # sha256 of the repr of every profile list over the guarded range,
