@@ -3,7 +3,11 @@
 Subcommands: solve, verify, construct, table, census, eq1.  Output
 formats json, csv and text are deterministic: identical invocations
 produce byte-identical stdout.  The argument parser is built once, when
-the module is imported, and every ``main`` call parses with it.
+the module is imported, and every ``main`` call parses with it.  Records
+(solve, construct, census) write each vertex set straight from
+``VertexSet.text()``, with the bytes json.dumps would give its list of
+names, so they build no str per name; ``SolveResult.as_dict`` and
+``Construction.as_dict`` still return names lists for library callers.
 
 Exit codes: 0 success, 1 semantic failure (formula mismatch or invalid
 input set), 2 usage error, 3 internal invariant breach, 141 (128 + SIGPIPE)
@@ -38,13 +42,21 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
         print(",".join(str(c) for c in row))
 
 
+def _json(value) -> str:
+    """json.dumps(value), a VertexSet as the list of its names."""
+    if not isinstance(value, VertexSet):
+        return json.dumps(value)
+    return '["' + value.text().replace(",", '", "') + '"]' if value else "[]"
+
+
 def _emit_record(fmt: str, doc: dict) -> None:
-    """doc as JSON, or as a one-row CSV whose vertex-set field, a list of
-    names, is joined with ';'."""
+    """doc as JSON, or as a one-row CSV; a VertexSet value is written from
+    its text() as its list of names, in CSV joined with ';'."""
     if fmt == "json":
-        print(json.dumps(doc))
+        print("{" + ", ".join(f"{json.dumps(k)}: {_json(v)}" for k, v in doc.items()) + "}")
     else:
-        row = [";".join(v) if isinstance(v, list) else v for v in doc.values()]
+        row = [v.text().replace(",", ";") if isinstance(v, VertexSet) else v
+               for v in doc.values()]
         _emit_csv(list(doc), [row])
 
 
@@ -61,7 +73,10 @@ def cmd_solve(args) -> int:
     else:
         result = dp_min(args.n, kind)
     if args.format != "text":
-        _emit_record(args.format, result.as_dict(include_witness=args.witness))
+        doc = result.as_dict(include_witness=False)
+        if args.witness:
+            doc["witness"] = result.witness
+        _emit_record(args.format, doc)
         return EXIT_OK
     print(
         f"P({result.n},{result.k}) {result.kind.value}: "
@@ -99,7 +114,9 @@ def cmd_construct(args) -> int:
     _check_k(args)
     c = build_construction(args.n, DominationKind.from_text(args.kind))
     if args.format != "text":
-        _emit_record(args.format, c.as_dict())
+        doc = {"n": c.n, "kind": c.kind.value, "size": c.size, "set": c.vertex_set,
+               "source": c.source.value}
+        _emit_record(args.format, doc)
         return EXIT_OK
     print(
         f"P({c.n},2) {c.kind.value}: size {c.size} "
@@ -134,12 +151,12 @@ def cmd_census(args) -> int:
         census = component_census(g, S)
         checks = census_inequalities(census, args.n, len(S))
     if args.format == "json":
-        doc = {"n": args.n, "set": S.names(), "valid": report.valid}
+        doc = {"n": args.n, "set": S, "valid": report.valid}
         if report.valid:
             doc.update(census=census.as_dict(), inequalities=checks.as_dict())
         else:
             doc["violations"] = [w.as_dict() for w in report.violations]
-        print(json.dumps(doc))
+        _emit_record("json", doc)
     elif report.valid:
         print(f"set is one-two-total dominating on P({args.n},2)")
         print(f"census: {json.dumps(census.as_dict())}")

@@ -94,17 +94,19 @@ dict) therefore repeats every q columns from there on: the walk tiles
 that stretch's bits, adds its cost to base per period, and jumps ahead,
 stepping again only near the end.  Phase 1's options are the same at
 every column, and its state repeats within about 20 columns.  It reads
-only its start rows' columns of M^L, and those repeat from some L_r <= N
+only its live starts' columns of M^L, and those repeat from some L_r <= N
 on: M^(L+p)[:, rows] = M^L[:, rows] + d.  Restricting columns commutes
-with M (x) ., so once this holds at one L it holds at every longer one.
-The chain marks, for each L < N and each column of M^L, whether that
-column repeats a period later, so L_r is one gather over those marks,
-and phase 1 skips periods up to column n - L_r, not only n - N (plain:
-L_r = 6 against N = 17 at every n >= N).  The outer bits it returns are
-a prefix, a periodic stretch and a tail, so phase 2's options repeat
-over that stretch and its walk skips periods the same way.  Each phase
-runs a number of column steps independent of n; only the bit arrays, the
-witness and its validation are O(n).
+with M (x) ., so once this holds at one L it holds at every longer one,
+and fewer columns repeat no later.  The chain marks, for each L < N and
+each column of M^L, whether that column repeats a period later, so L_r
+is one gather over those marks.  Phase 1 looks for a repeat while its
+start rows' columns repeat, and skips periods up to column n - L_r of
+the starts still live at the repeat, not only n - N (one-two-total: L_r
+= 9 there, against 10-18 for the start rows and N = 18).  The outer bits
+it returns are a prefix, a periodic stretch and a tail, so phase 2's
+options repeat over that stretch and its walk skips periods the same
+way.  Each phase runs a number of column steps independent of n; only
+the bit arrays, the witness and its validation are O(n).
 
 Size bound.  Table entries are float32 but only ever hold costs of a
 bounded number of columns (all n only when n is too short to show a
@@ -323,7 +325,7 @@ def _greedy_bits(
     options: Callable[[int], np.ndarray],
     n: int,
     suffix: _Suffix,
-    cycle: tuple[int, int, int] | None,
+    cycle: Callable[[np.ndarray], tuple[int, int, int] | None],
     lo: int,
 ) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
     """Fix one membership bit per column, left to right: set it exactly
@@ -331,16 +333,22 @@ def _greedy_bits(
 
     options(j) holds two sets of the interfaces leaving column j, as
     min-plus columns: those with the bit set and those with it unset.
-    suffix and cycle serve their suffix tables as ``_suffixes``
-    returns them, T_0's columns cols being the live start interfaces;
-    from column lo on, options repeat wherever the tables do, and a
-    repeated walk state there is skipped ahead by whole periods.
+    suffix serves their suffix tables as ``_suffixes`` returns them,
+    T_0's columns cols being the live start interfaces, and cycle(cols)
+    is the cycle of those columns; from column lo on, options repeat
+    wherever the tables do, and a repeated walk state there is skipped
+    ahead by whole periods, up to where its own live columns repeat.
     Returns the bits, the columns of the start interfaces still live
     after the last column and (a, b, q): bit x equals bit x + q whenever
     a <= x and x + q < b.
     """
     # walk states repeat where options do and suffix(n - 1 - j) is periodic
-    hi, P = (n - cycle[0], cycle[1]) if cycle else _NO_PERIOD[1:]
+    # on the live columns, and fewer of them repeat no later
+    def bound(cols: np.ndarray) -> tuple[int, int]:
+        cyc = cycle(cols)
+        return (n - cyc[0], cyc[1]) if cyc else _NO_PERIOD[1:]
+
+    hi, P = bound(cols)
 
     def step(walk: _Walk, j: int) -> _Walk:
         yes, no = options(j)
@@ -375,6 +383,7 @@ def _greedy_bits(
     bits[lo:j] = [walk.bit for walk in walks[1:]]
     walk, skip = walks[-1], _NO_PERIOD
     if start is not None:
+        hi, _ = bound(walk.cols)
         q = len(walks) - 1 - start
         periods = (hi - j) // q
         bits[j:j + periods * q] = np.tile(bits[j - q:j], periods)
@@ -399,7 +408,7 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
 
     # phase 1: fix outer memberships greedily, inner choices left free
     u, rows, (a, b, q) = _greedy_bits(
-        m, minimum, rows, lambda j: _OUTER, n, m.power, m.cycle_of(rows), 0
+        m, minimum, rows, lambda j: _OUTER, n, m.power, m.cycle_of, 0
     )
     # phase 2: outer memberships frozen, fix inner memberships greedily
     suffix, cycle = _suffixes(
@@ -407,7 +416,8 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
         n - 1, (n - b, n - a, q),
     )
     v, _, _ = _greedy_bits(
-        m, minimum, np.arange(len(rows)), lambda j: _INNER[u[j]], n, suffix, cycle, a
+        m, minimum, np.arange(len(rows)), lambda j: _INNER[u[j]], n, suffix,
+        lambda cols: cycle, a,
     )
     witness = VertexSet.from_arrays(u, v)
     return SolveResult(n, 2, kind, minimum, witness, SolveMethod.TRANSFER_DP)

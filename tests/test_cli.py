@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import petdom
-from petdom.cli import main
+from petdom.cli import _emit_record, main
 from petdom.constructions import construct_one_two_total
+from petdom.graph import VertexSet
 
 
 def run(capsys, *argv):
@@ -184,6 +189,65 @@ def test_parser_built_once(capsys, monkeypatch):
         run(capsys, *argv)
     assert built == []
 
+
+def emitted(fmt, doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_record(fmt, doc)
+    return out.getvalue()
+
+
+# indices at each digit-count boundary, where a name's width changes
+DIGIT_EDGES = [0, 1, 9, 10, 11, 99, 100, 101, 999, 1000, 9999, 10000, 99999, 100000]
+INDICES = st.sets(st.sampled_from(DIGIT_EDGES) | st.integers(0, 10**5), max_size=40)
+
+
+class TestRecords:
+    # a record writes its vertex sets from text(): the bytes json.dumps and
+    # a ';'-joined CSV field would give for the set's names
+    @given(outer=INDICES, inner=INDICES)
+    @example(outer=set(), inner=set())
+    @example(outer={0, 9, 10, 99, 100}, inner=set())
+    @example(outer=set(), inner={9, 10, 999, 1000})
+    def test_vertex_sets_written_as_their_names(self, outer, inner):
+        S = VertexSet(sum(1 << i for i in outer), sum(1 << i for i in inner))
+        names = S.names()
+        solve = {"n": 9, "k": 2, "kind": "one-two", "minimum": len(S),
+                 "method": "transfer-dp", "witness": S}
+        construct = {"n": 9, "kind": "one-two", "size": len(S), "set": S,
+                     "source": "spliced-pattern"}
+        census = {"n": 9, "set": S, "valid": True, "census": {"x": {"2": 3}, "y": {}},
+                  "inequalities": {"eq2": {"lhs": 6, "rhs": 6, "ok": True}}}
+        for doc, key in ((solve, "witness"), (construct, "set"), (census, "set")):
+            assert emitted("json", doc) == json.dumps({**doc, key: names}) + "\n"
+            header, row = emitted("csv", doc).splitlines()
+            assert header == ",".join(doc)
+            assert row.split(",")[list(doc).index(key)] == ";".join(names)
+
+    # the CLI builds no name list of its own; as_dict keeps them for
+    # library callers
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("solve", "--n", "40", "--kind", "one-two", "--method", "dp", "--witness",
+             "--format", "json"),
+            ("solve", "--n", "40", "--kind", "one-two", "--method", "dp", "--witness",
+             "--format", "csv"),
+            ("construct", "--n", "40", "--kind", "one-two-total", "--format", "json"),
+            ("construct", "--n", "40", "--kind", "one-two-total", "--format", "csv"),
+            ("census", "--n", "9", "--set", "u1,v1,u4,v4,u7,v7", "--format", "json"),
+        ],
+        ids=" ".join,
+    )
+    def test_records_build_no_names(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+
+        def refuse(self):
+            raise AssertionError("VertexSet.names called")
+
+        monkeypatch.setattr(VertexSet, "names", refuse)
+        assert run(capsys, *argv) == expected
+        assert expected[0] == 0
 
 
 def petdom_process(*argv):

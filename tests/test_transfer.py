@@ -375,17 +375,19 @@ class TestPeriodicWalk:
         dp_min(13, kind)
         assert len(calls) <= steps
 
-    # at n = 9996..9999, where phase 1 skips from its start rows' own
-    # repeat; the backward-and-forward walk with phase 1 skipping only from
-    # the chain's N took 77/80/119/145, 80/101/97/80, 105/92/95/98 and
-    # 80/103/97/80 backward steps on top of its gathers
+    # at n = 9996..9999, where phase 1 skips up to where its live starts'
+    # columns repeat; skipping up to its start rows' own repeat took
+    # 44/101/86/44 (total), 89/74/95/80 (one-two) and 53/101/86/53
+    # (one-two-total), and the backward-and-forward walk with phase 1
+    # skipping only from the chain's N took 77/80/119/145, 80/101/97/80,
+    # 105/92/95/98 and 80/103/97/80 backward steps on top of its gathers
     @pytest.mark.parametrize(
         "kind,steps",
         [
             (K.PLAIN, (47, 50, 53, 71)),
-            (K.TOTAL, (44, 101, 86, 44)),
-            (K.ONE_TWO, (89, 74, 95, 80)),
-            (K.ONE_TWO_TOTAL, (53, 101, 86, 53)),
+            (K.TOTAL, (44, 65, 59, 44)),
+            (K.ONE_TWO, (71, 74, 77, 80)),
+            (K.ONE_TWO_TOTAL, (53, 74, 68, 53)),
         ],
     )
     def test_column_steps_near_10000(self, kind, steps, monkeypatch):
@@ -502,13 +504,14 @@ class TestPeriodicWalk:
             assert [dp_min(n, kind).witness for kind in K] == expected
 
     @staticmethod
-    def repeat_bound(kind, n):
-        """The earliest L_r <= N from which the columns of M^L at n's start
-        rows repeat, M^(L+p)[:, rows] = M^L[:, rows] + d, read off the
-        served powers one length at a time."""
+    def repeat_bound(kind, n, rows=None):
+        """The earliest L_r <= N from which the columns rows of M^L (by
+        default n's start rows) repeat, M^(L+p)[:, rows] = M^L[:, rows] + d,
+        read off the served powers one length at a time."""
         chain = transfer._chain(kind)
         N, p, d = chain.cycle
-        _, rows = chain.closed(n)
+        if rows is None:
+            _, rows = chain.closed(n)
 
         def column(L):
             table, offset = chain.power(L)
@@ -550,23 +553,33 @@ class TestPeriodicWalk:
         phase1 = walks[0]  # it starts at column 0, so step i is column i
         assert min(n - 1 - j - P for j in phase1) == bound
 
-    # where phase 1 repeats, it tiles whole periods up to that bound: its
-    # stretch (a, b, q) ends within one period q of n - L_r
+    # where phase 1 repeats, it tiles whole periods up to n - L_r of the
+    # starts still live at its repeat: its stretch (a, b, q) ends within
+    # one period q of that bound
     @pytest.mark.parametrize("n", [9996, 9997, 1001])
     @pytest.mark.parametrize("kind", list(K))
     def test_phase1_skip_reaches_its_bound(self, kind, n, monkeypatch):
-        stretches = []
-        greedy_bits = transfer._greedy_bits
+        stretches, walks = [], []
+        greedy_bits, until_repeat = transfer._greedy_bits, transfer._until_repeat
 
         def recording(*args):
             result = greedy_bits(*args)
             stretches.append(result[2])
             return result
 
+        def repeats(first, step, key):
+            result = until_repeat(first, step, key)
+            if isinstance(first, transfer._Walk):
+                walks.append(result)
+            return result
+
         monkeypatch.setattr(transfer, "_greedy_bits", recording)
+        monkeypatch.setattr(transfer, "_until_repeat", repeats)
         dp_min(n, kind)
+        (*_, repeat), start = walks[0]
+        assert start is not None
         _, b, q = stretches[0]
-        hi = n - self.repeat_bound(kind, n)
+        hi = n - self.repeat_bound(kind, n, repeat.cols)
         assert b <= hi < b + q
 
 
