@@ -261,7 +261,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except BrokenPipeError:
         # the reader is gone: send the interpreter's final flush nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_PIPE
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ and return blocks and components of ints, whose ``vertices`` come on demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -129,15 +129,12 @@ def counts(
     """|N(u_i) & S| and |N(v_i) & S| for all columns i of P(n,k), given
     the length-n 0/1 membership arrays of S on each ring."""
 
-    def roll(a: np.ndarray, shift: int) -> np.ndarray:
-        # np.roll(a, shift) without np.roll's per-call overhead, which
-        # dominates at the small n the solvers validate
-        cut = (n - shift) % n
-        return np.concatenate((a[cut:], a[:cut]))
-
-    cu = roll(outer, 1) + roll(outer, -1) + inner
-    cv = roll(inner, k) + roll(inner, -k) + outer
-    return cu, cv
+    # each ring once, padded with its wrapped neighbours, and sliced: not
+    # np.roll, whose per-call overhead dominates at the small n the
+    # solvers validate
+    po = np.concatenate((outer[-1:], outer, outer[:1]))
+    pi = np.concatenate((inner[-k:], inner, inner[:k]))
+    return po[:-2] + po[2:] + inner, pi[:-2 * k] + pi[2 * k:] + outer
 
 
 def is_valid(g: PetersenGraph, S: VertexSet, kind: DominationKind) -> ValidationReport:
@@ -301,7 +298,7 @@ def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
     outer, inner = S.arrays(n)
     member = np.concatenate((outer, inner))  # by rank
     degree = np.concatenate(counts(n, g.k, outer, inner))
-    bad = np.flatnonzero(member & ((degree == 0) | (degree == 3)))
+    bad = np.flatnonzero(member & ~DominationKind.ONE_TWO_TOTAL.accepts(degree, member))
     if bad.size:
         r = int(bad[0])
         ring, i = (Ring.OUTER, r) if r < n else (Ring.INNER, r - n)
@@ -384,7 +381,7 @@ class InequalityCheck:
     rhs: int
 
     def as_dict(self) -> dict:
-        return {"ok": self.ok, "lhs": self.lhs, "rhs": self.rhs}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -407,12 +404,7 @@ class CensusChecks:
         return self.eq2.ok and self.eq3.ok and self.eq4.ok and self.eq5.ok
 
     def as_dict(self) -> dict:
-        return {
-            "eq2": self.eq2.as_dict(),
-            "eq3": self.eq3.as_dict(),
-            "eq4": self.eq4.as_dict(),
-            "eq5": self.eq5.as_dict(),
-        }
+        return asdict(self)
 
 
 def census_inequalities(c: ComponentCensus, n: int, s: int) -> CensusChecks:

@@ -273,6 +273,7 @@ class ColumnForm(NamedTuple):
         return 1 + -(-4 // self.motif[2])
 
     def vertex_set(self) -> VertexSet:
+        check_columns(self.n)
         (ho, hi, h), (mo, mi, q), (to, ti, _) = self.head, self.motif, self.tail
         span = q * self.repeats
         copies = ((1 << span) - 1) // ((1 << q) - 1)  # bit q*j for j < repeats
@@ -346,7 +347,9 @@ class PetersenGraph:
         return (Vertex(ring, i) for ring in Ring for i in range(self.n))
 
     def vertex_set(self) -> VertexSet:
-        return VertexSet.of(self.vertices())
+        check_columns(self.n)
+        full = (1 << self.n) - 1
+        return VertexSet(full, full)
 
     def rank(self, v: Vertex) -> int:
         """v's position in canonical order: u_i has rank i, v_i rank n + i."""
@@ -372,6 +375,7 @@ class PetersenGraph:
 
     def neighbor_table(self) -> np.ndarray:
         """The (2n, 3) array whose row r is ``neighbor_ranks(r)``."""
+        check_columns(self.n)
         n, k, i = self.n, self.k, np.arange(self.n)
         outer = np.stack(((i - 1) % n, (i + 1) % n, n + i), axis=1)
         inner = np.stack((i, n + (i - k) % n, n + (i + k) % n), axis=1)

@@ -97,16 +97,19 @@ every column, and its state repeats within about 20 columns.  It reads
 only its live starts' columns of M^L, and those repeat from some L_r <= N
 on: M^(L+p)[:, rows] = M^L[:, rows] + d.  Restricting columns commutes
 with M (x) ., so once this holds at one L it holds at every longer one,
-and fewer columns repeat no later.  The chain marks, for each L < N and
-each column of M^L, whether that column repeats a period later, so L_r
-is one gather over those marks.  Phase 1 looks for a repeat while its
-start rows' columns repeat, and skips periods up to column n - L_r of
-the starts still live at the repeat, not only n - N (one-two-total: L_r
-= 9 there, against 10-18 for the start rows and N = 18).  The outer bits
-it returns are a prefix, a periodic stretch and a tail, so phase 2's
-options repeat over that stretch and its walk skips periods the same
-way.  Each phase runs a number of column steps independent of n; only
-the bit arrays, the witness and its validation are O(n).
+and fewer columns repeat no later.  So the chain keeps one length per
+column t, since[t] <= N, from which column t repeats: N less the number
+of L < N at which it repeats a period later.  L_r is the largest since[r]
+over the rows.  Phase 1 looks for a repeat while its start rows' columns
+repeat, and skips periods up to column n - L_r of the starts still live
+at the repeat, not only n - N (one-two-total: L_r = 9 there, against
+10-18 for the start rows and N = 18).  The outer bits it returns are a
+prefix, a periodic stretch and a tail, so phase 2's options repeat over
+that stretch and its walk skips periods the same way; its columns before
+the stretch are keyed by their index alone, as ``_suffixes`` keys
+lengths outside its own.  Each phase runs a number of column steps
+independent of n; only the bit arrays, the witness and its validation
+are O(n).
 
 Size bound.  Table entries are float32 but only ever hold costs of a
 bounded number of columns (all n only when n is too short to show a
@@ -173,12 +176,6 @@ def _until_repeat(
     return walk, None
 
 
-def _less_min(table: np.ndarray) -> bytes:
-    """The bytes of a table less its minimum, equal for tables equal up to
-    a constant."""
-    return (table - table.min()).tobytes()
-
-
 class _Chain:
     """Transition tables of one kind and its free suffix tables M^L.
 
@@ -188,9 +185,9 @@ class _Chain:
     takes to t, one of four numbered by the bits i = u2 | v4 << 1 that t
     drops, and pre_cost[i, t, 0] its cost.  Built whole: power(L) =
     (table, offset) with M^L = table + offset, cycle = (N, p, d),
-    tours[L] = (minimum or None, rows) for L < N + p and periodic[L, t],
-    whether column t of M^(L+p) is column t of M^L + d, for L < N (see
-    above).
+    tours[L] = (minimum or None, rows) for L < N + p and since[t] <= N,
+    the earliest length from which column t of M^(L+p) is column t of
+    M^L + d (see above).
     """
 
     def __init__(self, kind: DominationKind) -> None:
@@ -212,9 +209,7 @@ class _Chain:
         stored = np.stack([self.power(L)[0] for L in range(N + p)])
         # one length at a time: a whole-stack comparison's temporaries
         # would raise the build's peak memory by about a fifth
-        self.periodic = np.array(
-            [(stored[L + p] == stored[L] + d).all(axis=0) for L in range(N)]
-        )
+        self.since = N - sum((stored[L + p] == stored[L] + d).all(0) for L in range(N))
         diagonals = np.diagonal(stored, axis1=1, axis2=2)
         lows = diagonals.min(axis=1, keepdims=True)
         self.tours = [
@@ -234,9 +229,8 @@ class _Chain:
     def cycle_of(self, rows: np.ndarray) -> tuple[int, int, int]:
         """The cycle (L_r, p, d) of the columns rows of M^L: L_r <= N is the
         earliest length from which M^(L+p)[:, rows] = M^L[:, rows] + d."""
-        N, p, d = self.cycle
-        misses = np.flatnonzero(~self.periodic[:, rows].all(axis=1))
-        return (int(misses[-1]) + 1 if misses.size else 0), p, d
+        _, p, d = self.cycle
+        return int(self.since[rows].max()), p, d
 
 
 _CHAINS: dict[DominationKind, _Chain] = {}
@@ -281,7 +275,8 @@ def _suffixes(
         return _step(table, m.succ[c], m.cost[c])
 
     def key(table: np.ndarray, L: int) -> Hashable:
-        return ((L - lo) % P, _less_min(table)) if lo <= L <= hi else L
+        # a table less its minimum: equal for tables equal up to a constant
+        return ((L - lo) % P, (table - table.min()).tobytes()) if lo <= L <= hi else L
 
     tables, start = _until_repeat(first, step, key)
     if start is None:
@@ -309,13 +304,11 @@ def _suffixes(
 class _Walk(NamedTuple):
     """A greedy walk entering a column: forward[t, r] + base is the
     cheapest committed prefix from the start interface of suffix table
-    column cols[r] to interface t, with forward's minimum 0, and bit the
-    bit fixed at the column before."""
+    column cols[r] to interface t, with forward's minimum 0."""
 
     forward: np.ndarray
     cols: np.ndarray
     base: int
-    bit: int = 0
 
 
 def _greedy_bits(
@@ -349,6 +342,7 @@ def _greedy_bits(
         return (n - cyc[0], cyc[1]) if cyc else _NO_PERIOD[1:]
 
     hi, P = bound(cols)
+    bits = np.empty(n, dtype=np.uint8)
 
     def step(walk: _Walk, j: int) -> _Walk:
         yes, no = options(j)
@@ -356,41 +350,36 @@ def _greedy_bits(
         goal = minimum - walk.base - offset
         forward, cols = _step(walk.forward, m.pre, m.pre_cost), walk.cols
         totals = forward + table.take(cols, axis=1)  # best closed tour via each target
-        bit = int(np.minimum.reduce(totals + yes, axis=None) == goal)
-        chosen = yes if bit else no
+        bits[j] = np.minimum.reduce(totals + yes, axis=None) == goal
+        chosen = yes if bits[j] else no
         forward = forward + chosen
         if len(cols) > 1:
             live = np.minimum.reduce(totals + chosen) <= goal
             forward, cols = forward[:, live], cols[live]
         low = np.minimum.reduce(forward, axis=None)
-        return _Walk(forward - low, cols, walk.base + int(low), bit)
+        return _Walk(forward - low, cols, walk.base + int(low))
 
-    bits = np.empty(n, dtype=np.uint8)
-
-    def run(walk: _Walk, start: int, stop: int) -> _Walk:
-        for j in range(start, stop):
-            walk = step(walk, j)
-            bits[j] = walk.bit
-        return walk
-
-    # F[t, r]: prefix cost from T_0's column cols[r], which is T_0 itself
+    # F[t, r]: prefix cost from T_0's column cols[r], which is T_0 itself;
+    # the columns before lo are keyed by their index alone
     walks, start = _until_repeat(
-        run(_Walk(suffix(0)[0][:, cols], cols, 0), 0, lo),
-        lambda walk, i: step(walk, lo + i) if lo + i + P < hi else None,
-        lambda walk, i: (i % P, walk.cols.tobytes(), walk.forward.tobytes()),
+        _Walk(suffix(0)[0][:, cols], cols, 0),
+        lambda walk, j: step(walk, j) if j + P < hi else None,
+        lambda walk, j: j if j < lo else (
+            (j - lo) % P, walk.cols.tobytes(), walk.forward.tobytes()
+        ),
     )
-    j = lo + len(walks) - 1
-    bits[lo:j] = [walk.bit for walk in walks[1:]]
-    walk, skip = walks[-1], _NO_PERIOD
+    walk, skip, j = walks[-1], _NO_PERIOD, len(walks) - 1
     if start is not None:
         hi, _ = bound(walk.cols)
-        q = len(walks) - 1 - start
+        q = j - start
         periods = (hi - j) // q
         bits[j:j + periods * q] = np.tile(bits[j - q:j], periods)
         walk = walk._replace(base=walk.base + periods * (walk.base - walks[start].base))
         skip = (j - q, j + periods * q, q)
         j += periods * q
-    return bits, run(walk, j, n).cols, skip
+    for j in range(j, n):
+        walk = step(walk, j)
+    return bits, walk.cols, skip
 
 
 def dp_min(n: int, kind: DominationKind) -> SolveResult:

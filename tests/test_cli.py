@@ -276,6 +276,18 @@ class TestProcess:
         assert proc.stderr.read() == b""
         proc.stderr.close()
 
+    def test_closed_pipe_leaves_no_fd_open(self, monkeypatch):
+        # stdout is a pipe of its own with its read end closed, so main's
+        # redirect to /dev/null replaces that pipe and not the process's fd 1
+        fds = len(os.listdir("/proc/self/fd"))
+        for _ in range(2):
+            read, write = os.pipe()
+            os.close(read)
+            with open(write, "w") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                assert main(["table", "--from", "5", "--to", "6"]) == 141
+        assert len(os.listdir("/proc/self/fd")) == fds
+
 
 class TestCensus:
     def test_s9(self, capsys):

@@ -28,6 +28,7 @@ from petdom import (
     is_valid,
 )
 from petdom.constructions import build_construction
+from petdom.graph import ColumnForm
 
 K = DominationKind
 
@@ -521,6 +522,14 @@ class TestPeriodicWalk:
         assert repeats[N]
         return min(L for L in range(N + 1) if all(repeats[L:]))
 
+    @pytest.mark.parametrize("kind", list(K))
+    def test_since_is_each_columns_repeat_bound(self, kind):
+        # one length per column holds only because a column that repeats
+        # from L repeats from every longer L
+        chain = transfer._chain(kind)
+        bounds = [self.repeat_bound(kind, 0, [t]) for t in range(64)]
+        assert chain.since.tolist() == bounds
+
     # phase 1's repeat walk may step column j only while the suffix table
     # read a period later, T_(n-1-j-P), is where the start rows' columns
     # repeat, n - 1 - j - P >= L_r; at these n it finds no repeat and runs
@@ -632,3 +641,28 @@ class TestSizeGuard:
             dp_min(21, K.ONE_TWO)
         with pytest.raises(SizeLimitError):
             build_construction(21, K.ONE_TWO)
+
+    # per-column tables and sets of the graph and of a column form, each
+    # refused before any of it is built
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: build_petersen(n, 2).neighbor_table(),
+            lambda n: build_petersen(n, 2).vertex_set(),
+            lambda n: ColumnForm((0, 0, 0), (1, 1, 1), n, (0, 0, 0)).vertex_set(),
+        ],
+        ids=["neighbor_table", "graph-vertex_set", "form-vertex_set"],
+    )
+    def test_per_column_calls_guarded(self, call, monkeypatch):
+        monkeypatch.setattr(errors, "MAX_COLUMNS", 20)
+        call(20)
+        with pytest.raises(SizeLimitError):
+            call(21)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError):
+                call(10**5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
