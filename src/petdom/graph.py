@@ -62,14 +62,9 @@ _BLANK_LETTERS = bytes.maketrans(b"uv", b"  ")
 _FRAMES = [np.array([[ord("u"), *b"0" * w, ord(",")]], np.uint8) - 48 for w in range(20)]
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True)
 class Vertex:
-    """A vertex u_i or v_i with its index stored reduced modulo n.
-
-    Ordering is canonical: all outer vertices (ascending index) precede
-    all inner vertices (ascending index).  This ordering fixes every
-    serialized output of the package.
-    """
+    """A vertex u_i or v_i with its index stored reduced modulo n."""
 
     ring: Ring
     index: int
@@ -77,9 +72,6 @@ class Vertex:
     @property
     def name(self) -> str:
         return f"{self.ring.value}{self.index}"
-
-    def __lt__(self, other: "Vertex") -> bool:
-        return (self.ring is Ring.INNER, self.index) < (other.ring is Ring.INNER, other.index)
 
     def __repr__(self) -> str:
         return f"Vertex({self.name})"
@@ -101,12 +93,6 @@ def _unpack(mask: int, n: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, np.uint8), count=n, bitorder="little")
 
 
-def _pack(bits: np.ndarray) -> int:
-    """The int whose bit i is set exactly when bits[i] is nonzero."""
-    packed = np.packbits(np.asarray(bits, dtype=bool), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def _mask(indices: list[int] | np.ndarray) -> int:
     """The int whose bit i is set exactly when i is in indices (all >= 0);
     SizeLimitError for more than 2^23 bits."""
@@ -114,7 +100,12 @@ def _mask(indices: list[int] | np.ndarray) -> int:
     check_columns(top + 1)
     bits = np.zeros(top + 1, dtype=bool)
     bits[indices] = True
-    return _pack(bits)
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _repeat(bits: int, width: int, times: int) -> int:
+    """A width-bit motif repeated times times, copy i at bit width * i."""
+    return bits * (((1 << width * times) - 1) // ((1 << width) - 1))
 
 
 def _indices(mask: int) -> list[int]:
@@ -180,11 +171,6 @@ class VertexSet:
         if isinstance(names, str):
             names = [s for s in names.split(",") if s.strip()]
         return cls.of(parse_vertex(name, n) for name in names)
-
-    @classmethod
-    def from_arrays(cls, outer: np.ndarray, inner: np.ndarray) -> "VertexSet":
-        """The set of u_i with outer[i] != 0 and v_i with inner[i] != 0."""
-        return cls(_pack(outer), _pack(inner))
 
     def require_below(self, n: int) -> None:
         """Raise ParameterError naming the first member with index >= n,
@@ -275,10 +261,10 @@ class ColumnForm(NamedTuple):
     def vertex_set(self) -> VertexSet:
         check_columns(self.n)
         (ho, hi, h), (mo, mi, q), (to, ti, _) = self.head, self.motif, self.tail
-        span = q * self.repeats
-        copies = ((1 << span) - 1) // ((1 << q) - 1)  # bit q*j for j < repeats
+        r = self.repeats
         return VertexSet(
-            ho | mo * copies << h | to << h + span, hi | mi * copies << h | ti << h + span
+            ho | _repeat(mo, q, r) << h | to << h + q * r,
+            hi | _repeat(mi, q, r) << h | ti << h + q * r,
         )
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:

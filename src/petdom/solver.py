@@ -231,16 +231,14 @@ def brute_force_min(
         budget = require_int("budget", budget, 0)
     search = _ExactSearch(g, kind)
     lower = -(-order // search.cover)
-    upper = order if budget is None else min(budget, order)
+    # the outer ring, n members, is valid of every kind
+    upper = g.n if budget is None else min(budget, g.n)
     for m in range(min(lower, upper + 1), upper + 1):
         if (witness := search.smallest(m)) is not None:
             return SolveResult(g.n, g.k, kind, m, witness, SolveMethod.BRUTE_FORCE)
-    if budget is not None:
-        raise InfeasibleError(
-            f"no valid {kind.value} set of size <= {budget} exists in "
-            f"P({g.n},{g.k})"
-        )
-    raise InfeasibleError(f"no valid {kind.value} set exists in P({g.n},{g.k})")
+    raise InfeasibleError(
+        f"no valid {kind.value} set of size <= {budget} exists in P({g.n},{g.k})"
+    )
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ table moves by a constant: by the greedy invariant the best total equals
 the minimum, so the target minimum - base - offset moves with it.  Where
 options and suffix tables repeat with period P, a state that repeats
 (same starts and forward table at the same phase mod P, found with a
-dict) therefore repeats every q columns from there on: the walk tiles
+dict) therefore repeats every q columns from there on: the walk repeats
 that stretch's bits, adds its cost to base per period, and jumps ahead,
 stepping again only near the end.  Phase 1's options are the same at
 every column, and its state repeats within about 20 columns.  It reads
@@ -108,14 +108,14 @@ prefix, a periodic stretch and a tail, so phase 2's options repeat over
 that stretch and its walk skips periods the same way; its columns before
 the stretch are keyed by their index alone, as ``_suffixes`` keys
 lengths outside its own.  Each phase runs a number of column steps
-independent of n; only the bit arrays, the witness and its validation
-are O(n).
+independent of n; only the witness, whose bits each walk ORs straight
+into one of ``VertexSet``'s two int masks, and its validation are O(n).
 
 Size bound.  Table entries are float32 but only ever hold costs of a
 bounded number of columns (all n only when n is too short to show a
 period); offsets, bases and minima are Python ints, so the minimum, a
 stored closed-tour int plus d per period, is exact for every n.  Memory
-grows with n: ``dp_min``'s bits, witness and validation are O(n) and
+grows with n: ``dp_min``'s witness masks and validation are O(n) and
 ``dp_minima`` returns one int per n.  Both refuse to materialise more
 than 2^23 columns (n, or hi - lo + 1) with ``SizeLimitError`` before
 allocating anything.
@@ -129,7 +129,7 @@ import numpy as np
 
 from .domination import DominationKind
 from .errors import InfeasibleError, ParameterError, check_columns, require_int
-from .graph import VertexSet
+from .graph import VertexSet, _repeat
 from .solver import SolveMethod, SolveResult
 
 __all__ = ["dp_min", "dp_minima"]
@@ -331,9 +331,9 @@ def _greedy_bits(
     is the cycle of those columns; from column lo on, options repeat
     wherever the tables do, and a repeated walk state there is skipped
     ahead by whole periods, up to where its own live columns repeat.
-    Returns the bits, the columns of the start interfaces still live
-    after the last column and (a, b, q): bit x equals bit x + q whenever
-    a <= x and x + q < b.
+    Returns the bits as an int, bit j for column j, the columns of the
+    start interfaces still live after the last column and (a, b, q): bit
+    x equals bit x + q whenever a <= x and x + q < b.
     """
     # walk states repeat where options do and suffix(n - 1 - j) is periodic
     # on the live columns, and fewer of them repeat no later
@@ -342,16 +342,18 @@ def _greedy_bits(
         return (n - cyc[0], cyc[1]) if cyc else _NO_PERIOD[1:]
 
     hi, P = bound(cols)
-    bits = np.empty(n, dtype=np.uint8)
+    bits = 0
 
     def step(walk: _Walk, j: int) -> _Walk:
+        nonlocal bits
         yes, no = options(j)
         table, offset = suffix(n - 1 - j)
         goal = minimum - walk.base - offset
         forward, cols = _step(walk.forward, m.pre, m.pre_cost), walk.cols
         totals = forward + table.take(cols, axis=1)  # best closed tour via each target
-        bits[j] = np.minimum.reduce(totals + yes, axis=None) == goal
-        chosen = yes if bits[j] else no
+        bit = np.minimum.reduce(totals + yes, axis=None) == goal
+        bits |= int(bit) << j
+        chosen = yes if bit else no
         forward = forward + chosen
         if len(cols) > 1:
             live = np.minimum.reduce(totals + chosen) <= goal
@@ -373,7 +375,7 @@ def _greedy_bits(
         hi, _ = bound(walk.cols)
         q = j - start
         periods = (hi - j) // q
-        bits[j:j + periods * q] = np.tile(bits[j - q:j], periods)
+        bits |= _repeat(bits >> j - q, q, periods) << j  # no bit from j on is set
         walk = walk._replace(base=walk.base + periods * (walk.base - walks[start].base))
         skip = (j - q, j + periods * q, q)
         j += periods * q
@@ -401,15 +403,14 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
     )
     # phase 2: outer memberships frozen, fix inner memberships greedily
     suffix, cycle = _suffixes(
-        m, m.power(0)[0][:, rows], lambda L: _FIXED_A[u[n - 1 - L]],
+        m, m.power(0)[0][:, rows], lambda L: _FIXED_A[u >> n - 1 - L & 1],
         n - 1, (n - b, n - a, q),
     )
     v, _, _ = _greedy_bits(
-        m, minimum, np.arange(len(rows)), lambda j: _INNER[u[j]], n, suffix,
+        m, minimum, np.arange(len(rows)), lambda j: _INNER[u >> j & 1], n, suffix,
         lambda cols: cycle, a,
     )
-    witness = VertexSet.from_arrays(u, v)
-    return SolveResult(n, 2, kind, minimum, witness, SolveMethod.TRANSFER_DP)
+    return SolveResult(n, 2, kind, minimum, VertexSet(u, v), SolveMethod.TRANSFER_DP)
 
 
 def dp_minima(lo: int, hi: int, kind: DominationKind) -> list[int]:

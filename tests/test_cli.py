@@ -16,6 +16,7 @@ import petdom
 from petdom.cli import _emit_record, main
 from petdom.constructions import construct_one_two_total
 from petdom.graph import VertexSet
+from petdom.solver import PairProfile
 
 
 def run(capsys, *argv):
@@ -334,6 +335,13 @@ class TestEq1:
     def test_n22_guard(self, capsys):
         code, _, _ = run(capsys, "eq1", "--n", "22")
         assert code == 2
+
+    def test_profile_failing_its_check_is_internal(self, capsys, monkeypatch):
+        # every window of the zero profile sums to 0 < 2
+        monkeypatch.setattr("petdom.cli.enumerate_eq1", lambda n: [PairProfile((0,) * n)])
+        code, out, err = run(capsys, "eq1", "--n", "10")
+        assert (code, out) == (3, "")
+        assert err.startswith("internal error: enumerated profile fails its own check")
 
 
 # Expected stdout, byte for byte: a change that reorders names, drops a

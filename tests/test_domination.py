@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ class TestAccepts:
         got = kind.accepts(c, m)
         assert got.dtype == np.bool_
         assert got.tolist() == [kind.accepts(int(x), int(y)) for x, y in zip(c, m)]
+
+
+class TestFromText:
+    @pytest.mark.parametrize("kind", list(K))
+    def test_round_trip(self, kind):
+        assert K.from_text(kind.value) is kind
+
+    @pytest.mark.parametrize("text", ["bogus", "", "One-Two", "one_two", " plain"])
+    def test_refused(self, text):
+        values = [k.value for k in K]
+        message = f"kind must be one of {values}, got {text!r}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            K.from_text(text)
 
 
 class TestIsValid:

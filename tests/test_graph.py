@@ -216,7 +216,6 @@ class TestVertexSetModel:
         for ring in Ring:
             for i in range(70):
                 assert (Vertex(ring, i) in A) == (Vertex(ring, i) in a)
-        assert VertexSet.from_arrays(*A.arrays(70)) == A
 
     def test_names_round_trip_large(self):
         from petdom.constructions import construct_one_two_total
