@@ -159,9 +159,8 @@ def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
     suffix and a prefix of M^r, at most 4 columns in all, so it does not
     change with r once qr >= 4.  The windows inside M^r start at its first
     qr - 4 columns, so from r = R0 = ``form.settled`` on (qr >= q + 4)
-    they show every phase of the motif.  Every r >= R0 thus has the
-    windows of R0: the form is checked at R0 and R0 + 1 in place of r,
-    and below R0 as it is.
+    they show every phase of the motif.  Every r >= R0 thus has exactly
+    the windows of R0: the form is checked once, at min(r, R0) repeats.
     """
     kind = DominationKind.require(kind, "form_is_valid")
     fields = "outer bits", "inner bits", "width"
@@ -176,13 +175,9 @@ def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
             f"form_is_valid requires motif width >= 1, widths and repeats >= 0, "
             f"each part's bits below its width and n >= 5, got {form}"
         )
-    low = form.settled
-    for r in [form.repeats] if form.repeats < low else [low, low + 1]:
-        outer, inner = form._replace(repeats=r).arrays()
-        cu, cv = counts(outer.size, 2, outer, inner)
-        if not (kind.accepts(cu, outer).all() and kind.accepts(cv, inner).all()):
-            return False
-    return True
+    outer, inner = form._replace(repeats=min(form.repeats, form.settled)).arrays()
+    cu, cv = counts(outer.size, 2, outer, inner)
+    return bool(kind.accepts(cu, outer).all() and kind.accepts(cv, inner).all())
 
 
 def blocks_by_count(g: PetersenGraph, S: VertexSet) -> dict[int, list[Block]]:
@@ -290,7 +285,7 @@ class Component:
 
 
 def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
-    """Path/cycle decomposition of G[S], in canonical discovery order.
+    """Path/cycle decomposition of G[S], ordered by smallest member.
 
     Raises CensusError if any member has induced degree 0 or 3.
     """
@@ -310,33 +305,22 @@ def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
     end, table = 2 * n, g.neighbor_table()
     near = np.sort(np.where(member[table] != 0, table, end), axis=1)
     first, second = near[:, 0].tolist(), near[:, 1].tolist()
-
-    def arm(start: int, cur: int) -> tuple[list[int], bool]:
-        """The members from cur on, walking away from start, up to a path
-        end (False) or back to start (True)."""
-        walk, prev = [], start
-        while cur != start:
-            if cur == end:
-                return walk, False
-            walk.append(cur)
-            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
-        return walk, True
-
+    # the path ends (degree 1) in rank order, so each path is walked from
+    # its smaller end; then the cycles, each from its smallest member
+    # toward its smaller neighbor
+    ranks = np.flatnonzero(member)
     seen: set[int] = set()
-    components: list[Component] = []
-    # in rank order, so start is the smallest member of its component
-    for start in np.flatnonzero(member).tolist():
+    found: dict[int, Component] = {}
+    for start in ranks[np.argsort(degree[ranks], kind="stable")].tolist():
         if start in seen:
             continue
-        walk, closed = arm(start, first[start])  # toward the smaller neighbor
-        back = [] if closed else arm(start, second[start])[0]
-        walk = back[::-1] + [start] + walk
-        if walk[-1] < walk[0]:  # a path runs from its smaller end
-            walk.reverse()
+        walk, prev, cur = [start], start, first[start]
+        while cur != end and cur != start:
+            walk.append(cur)
+            prev, cur = cur, second[cur] if first[cur] == prev else first[cur]
         seen.update(walk)
-        kind = "cycle" if closed else "path"
-        components.append(Component(kind, tuple(walk), n))
-    return components
+        found[min(walk)] = Component("cycle" if cur == start else "path", tuple(walk), n)
+    return [found[r] for r in sorted(found)]
 
 
 @dataclass(frozen=True)

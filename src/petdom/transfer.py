@@ -128,7 +128,7 @@ from typing import Callable, Hashable, NamedTuple, TypeVar
 import numpy as np
 
 from .domination import DominationKind
-from .errors import InfeasibleError, ParameterError, check_columns, require_int
+from .errors import ParameterError, check_columns, require_int
 from .graph import VertexSet, _repeat
 from .solver import SolveMethod, SolveResult
 
@@ -185,13 +185,13 @@ class _Chain:
     takes to t, one of four numbered by the bits i = u2 | v4 << 1 that t
     drops, and pre_cost[i, t, 0] its cost.  Built whole: power(L) =
     (table, offset) with M^L = table + offset, cycle = (N, p, d),
-    tours[L] = (minimum or None, rows) for L < N + p and since[t] <= N,
-    the earliest length from which column t of M^(L+p) is column t of
-    M^L + d (see above).
+    tours[L] = (minimum, rows) for L < N + p, each minimum finite since
+    every kind accepts the whole outer ring at every length, and
+    since[t] <= N, the earliest length from which column t of M^(L+p) is
+    column t of M^L + d (see above).
     """
 
     def __init__(self, kind: DominationKind) -> None:
-        self.kind = kind
         u2, u1, v4, v3, v2, v1 = (_TARGET >> np.arange(6)[:, None]) & 1  # bits of s
         a, b = _ALL_CHOICES[:, None] & 1, _ALL_CHOICES[:, None] >> 1
         self.succ = u1 | a << 1 | v3 << 2 | v2 << 3 | v1 << 4 | b << 5
@@ -213,7 +213,7 @@ class _Chain:
         diagonals = np.diagonal(stored, axis1=1, axis2=2)
         lows = diagonals.min(axis=1, keepdims=True)
         self.tours = [
-            (int(low) if low < np.inf else None, live.nonzero()[0])
+            (int(low), live.nonzero()[0])
             for low, live in zip(lows.ravel().tolist(), diagonals == lows)
         ]
 
@@ -222,8 +222,6 @@ class _Chain:
         N, p, d = self.cycle
         periods, rest = divmod(n - N, p) if n >= N else (0, n - N)
         low, rows = self.tours[N + rest]
-        if low is None:
-            raise InfeasibleError(f"no valid {self.kind.value} set exists in P({n},2)")
         return low + d * periods, rows
 
     def cycle_of(self, rows: np.ndarray) -> tuple[int, int, int]:

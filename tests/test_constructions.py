@@ -139,7 +139,7 @@ class TestRecipes:
 
 class TestFormTable:
     # each mutation, at a small n (the form below R0, checked at its own
-    # repeat count) and near 10^4 (the form checked at R0 and R0 + 1, once)
+    # repeat count) and near 10^4 (the form checked at R0, once)
     @pytest.mark.parametrize(
         "key,parts,ns,message",
         [

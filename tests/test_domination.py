@@ -228,7 +228,7 @@ PAIRS = ColumnForm((0, 0, 0), (0b010, 0b010, 3), 5, (0, 0, 0))  # valid for ever
 
 
 class TestFormIsValid:
-    """The form's verdict, read at R0 and R0 + 1 from R0 repeats on, is
+    """The form's verdict, read once at min(repeats, R0) repeats, is
     is_valid's on the form's own set, whatever the repeat count."""
 
     @settings(max_examples=400)
@@ -428,6 +428,35 @@ class TestClassifySingletonBlock:
                 classify_singleton_block(g, S, b)  # must not raise
 
 
+def reference_components(g, mask):
+    """G[S]'s (kind, ranks) by a search over neighbor_ranks, S the ranks
+    set in mask, oriented and ordered as Component documents; None when a
+    member has induced degree 0 or 3."""
+    members = [r for r in range(2 * g.n) if mask >> r & 1]
+    adjacent = {r: [s for s in g.neighbor_ranks(r) if mask >> s & 1] for r in members}
+    if any(len(a) not in (1, 2) for a in adjacent.values()):
+        return None
+    found, seen = [], set()
+    for r in members:
+        if r in seen:
+            continue
+        part, stack = {r}, [r]
+        while stack:
+            for s in adjacent[stack.pop()]:
+                if s not in part:
+                    part.add(s)
+                    stack.append(s)
+        seen |= part
+        # a path from its smaller end, a cycle from r toward its smaller neighbor
+        ends = sorted(s for s in part if len(adjacent[s]) == 1)
+        walk = [ends[0] if ends else r]
+        walk.append(min(adjacent[walk[0]]))
+        while len(walk) < len(part):
+            walk.append(next(s for s in adjacent[walk[-1]] if s != walk[-2]))
+        found.append(("path" if ends else "cycle", tuple(walk)))
+    return found
+
+
 class TestComponentCensus:
     def test_s9_three_p2(self):
         g = build_petersen(9, 2)
@@ -479,6 +508,20 @@ class TestComponentCensus:
     def test_census_json_shape(self):
         g = build_petersen(9, 2)
         assert component_census(g, S9).as_dict() == {"x": {"2": 3}, "y": {}}
+
+    @pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (7, 2), (7, 3)])
+    def test_walks_match_search_on_every_subset(self, n, k):
+        # k = 3 too: the walk reads only neighbor ranks, not the blocks
+        g = build_petersen(n, k)
+        for outer in range(1 << n):
+            for inner in range(1 << n):
+                S = VertexSet(outer, inner)
+                want = reference_components(g, outer | inner << n)
+                if want is None:
+                    with pytest.raises(CensusError):
+                        induced_components(g, S)
+                else:
+                    assert [(c.kind, c.ranks) for c in induced_components(g, S)] == want
 
 
 class TestMembersOutsideN:

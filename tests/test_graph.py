@@ -236,6 +236,9 @@ class TestVertexSetModel:
     @example(pieces=["u" + "9" * 19, f"v{2**63}", "u" + "0" * 20 + "7", "v3"], n=5)
     @example(pieces=["u\u0661", "v\u0663\u0667", "u3"], n=7)
     @example(pieces=["u3", "v5", "v5"], n=2**64)
+    # well-formed names with n just past int64: the per-name path, not numpy's
+    @example(pieces=["u1", "v5"], n=2**63)
+    @example(pieces=["u1", "v5"], n=2**64 - 1)
     @example(pieces=["u" + "9" * 19, "v3"], n=5)  # well-formed, one digit past 18
     def test_from_names_matches_parsed_vertices(self, pieces, n):
         # blanks stripped, blank pieces of a str dropped, indices reduced

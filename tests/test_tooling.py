@@ -1,6 +1,6 @@
 """The suite's own configuration: a failing test must be reported as a
 failure, and the warning filters must still turn petdom's and numpy's
-deprecations into errors."""
+deprecations, and leaked file handles, into errors."""
 
 import subprocess
 import sys
@@ -25,6 +25,11 @@ def test_warns():
     warnings.warn("old call", DeprecationWarning)
 """
 
+LEAKED_FILE = """
+def test_leaks(tmp_path):
+    open(tmp_path / "probe.txt", "w")
+"""
+
 
 def pytest_exit_code(tmp_path, source):
     """The exit code of pytest, under this repo's configuration, on one
@@ -44,5 +49,14 @@ def test_failure_is_reported_not_internal_error(tmp_path, source):
     # that warning must not become an INTERNALERROR (exit 3), while any
     # other DeprecationWarning must still fail its test (not exit 0)
     code, out = pytest_exit_code(tmp_path, source)
+    assert code == 1, out
+    assert "1 failed" in out
+
+
+def test_leaked_file_fails(tmp_path):
+    # the dropped file's ResourceWarning is raised in its finalizer, where
+    # pytest can only report it as an unraisable exception: both must be
+    # errors, or the test passes with "1 warning"
+    code, out = pytest_exit_code(tmp_path, LEAKED_FILE)
     assert code == 1, out
     assert "1 failed" in out

@@ -13,7 +13,6 @@ import petdom.errors as errors
 import petdom.transfer as transfer
 from petdom import (
     DominationKind,
-    InfeasibleError,
     ParameterError,
     SizeLimitError,
     SolveMethod,
@@ -325,22 +324,6 @@ class TestClosedTours:
         minima = dp_minima(5, 10**5, kind)
         assert calls == []
         assert len(minima) == 10**5 - 4 and minima[-1] == FORMULAS[kind](10**5)
-
-    @pytest.mark.parametrize(
-        "call",
-        [lambda: dp_min(13, K.ONE_TWO), lambda: dp_minima(5, 13, K.ONE_TWO)],
-        ids=["dp_min", "dp_minima"],
-    )
-    def test_infeasible_message(self, call, monkeypatch):
-        # no n >= 5 is infeasible for any kind, so the table is doctored at
-        # n = 13, a stored length of one-two's (N + p = 18)
-        chain = transfer._chain(K.ONE_TWO)
-        tours = list(chain.tours)
-        tours[13] = (None, np.arange(64))
-        monkeypatch.setattr(chain, "tours", tours)
-        with pytest.raises(InfeasibleError) as info:
-            call()
-        assert str(info.value) == "no valid one-two set exists in P(13,2)"
 
 
 def counting_steps(monkeypatch) -> list[int]:
