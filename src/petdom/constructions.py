@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .domination import DominationKind, form_is_valid
-from .errors import ConstructionError, ParameterError, check_columns, require_int
+from .errors import ConstructionError, ParameterError, require_int
 from .formulas import BY_KIND
 from .graph import ColumnForm, VertexSet
 
@@ -139,7 +139,6 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
             f"got {kind.value}"
         )
     n = require_int("n", n, 5, caller=_CALLERS[kind])
-    check_columns(n)
     # the most specific entry: for n itself, else for n mod 6, else n mod 3
     entry = _FORMS.get((kind, 0, n)) or _FORMS.get((kind, 6, n % 6))
     head, motif, tail, source = entry or _FORMS[kind, 3, n % 3]

@@ -9,7 +9,7 @@ Four predicates over a vertex subset S, stated via c(v) = |N(v) & S|:
 
 Every layer states them through ``DominationKind.accepts(count, member)``
 (on ints or numpy arrays).  ``is_valid`` and the constructions get c from
-the one neighbour-count kernel ``counts(n, k, outer, inner)``; the brute
+the one neighbour-count kernel ``counts(k, outer, inner)``; the brute
 force and the transfer DP apply ``accepts`` to their own running counts.
 
 ``is_valid`` reports every offending vertex (never just the first), so
@@ -123,9 +123,7 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def counts(
-    n: int, k: int, outer: np.ndarray, inner: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def counts(k: int, outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|N(u_i) & S| and |N(v_i) & S| for all columns i of P(n,k), given
     the length-n 0/1 membership arrays of S on each ring."""
 
@@ -141,7 +139,7 @@ def is_valid(g: PetersenGraph, S: VertexSet, kind: DominationKind) -> Validation
     """Check the domination predicate, listing every offending vertex."""
     kind = DominationKind.require(kind, "is_valid")
     outer, inner = S.arrays(g.n)
-    cu, cv = counts(g.n, g.k, outer, inner)
+    cu, cv = counts(g.k, outer, inner)
     violations: list[Violation] = []
     for ring, member, c in ((Ring.OUTER, outer, cu), (Ring.INNER, inner, cv)):
         for i in np.flatnonzero(~kind.accepts(c, member)).tolist():
@@ -176,7 +174,7 @@ def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
             f"each part's bits below its width and n >= 5, got {form}"
         )
     outer, inner = form._replace(repeats=min(form.repeats, form.settled)).arrays()
-    cu, cv = counts(outer.size, 2, outer, inner)
+    cu, cv = counts(2, outer, inner)
     return bool(kind.accepts(cu, outer).all() and kind.accepts(cv, inner).all())
 
 
@@ -189,7 +187,7 @@ def blocks_by_count(g: PetersenGraph, S: VertexSet) -> dict[int, list[Block]]:
     g._require_k2("blocks_by_count")
     x = np.add(*S.arrays(g.n))  # members per column
     # block i holds x_{i-1} + x_i + x_{i+1}: u_i's count on C_n with x on both rings
-    window, _ = counts(g.n, 1, x, x)
+    window, _ = counts(1, x, x)
     buckets: dict[int, list[Block]] = {c: [] for c in range(7)}
     for b, c in zip(g.blocks(), window.tolist()):
         buckets[c].append(b)
@@ -292,7 +290,7 @@ def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
     n = g.n
     outer, inner = S.arrays(n)
     member = np.concatenate((outer, inner))  # by rank
-    degree = np.concatenate(counts(n, g.k, outer, inner))
+    degree = np.concatenate(counts(g.k, outer, inner))
     bad = np.flatnonzero(member & ~DominationKind.ONE_TWO_TOTAL.accepts(degree, member))
     if bad.size:
         r = int(bad[0])

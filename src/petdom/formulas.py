@@ -7,6 +7,9 @@ These formulas serve as oracles for the exact solvers:
 * ``gamma_ref(n)``      -- ordinary domination number, ceil(3n/5),
 * ``gamma_t_ref(n)``    -- total domination number, 2*ceil(n/3).
 
+Both [1,2] numbers are the total domination number with one exception
+each: f(n) is one less when n = 1 (mod 6), and g(5) = 5.
+
 The [1,2] formulas are defined for n >= 5 and are rejected below that
 instead of extrapolating.  ``BY_KIND`` maps each ``DominationKind`` to its
 formula, in enum order; every layer that needs a kind's closed form reads
@@ -22,31 +25,22 @@ __all__ = ["BY_KIND", "f_one_two", "g_one_two_total", "gamma_ref", "gamma_t_ref"
 def f_one_two(n: int) -> int:
     """[1,2]-domination number of P(n,2) for n >= 5.
 
-    2n/3 when n = 0,3 (mod 6); 2*floor(n/3)+1 when n = 1 (mod 6);
+    The total domination number 2*ceil(n/3), less one when n = 1 (mod 6):
+    2n/3 when n = 0,3 (mod 6), 2*floor(n/3)+1 when n = 1 and
     2*floor(n/3)+2 otherwise.  Satisfies f(n) = f(n-6) + 4 for n >= 11.
     """
     n = require_int("n", n, 5)
-    r = n % 6
-    if r in (0, 3):
-        return 2 * n // 3
-    if r == 1:
-        return 2 * (n // 3) + 1
-    return 2 * (n // 3) + 2
+    return 2 * -(-n // 3) - (n % 6 == 1)
 
 
 def g_one_two_total(n: int) -> int:
     """[1,2]-total domination number of P(n,2) for n >= 5.
 
-    5 when n = 5; 2n/3 when n = 0,3 (mod 6); 2*floor(n/3)+2 otherwise.
-    Equals f_one_two(n) except when n = 5 or n = 1 (mod 6).
+    The total domination number 2*ceil(n/3), except 5 at n = 5.  Equals
+    f_one_two(n) except when n = 5 or n = 1 (mod 6).
     """
     n = require_int("n", n, 5)
-    if n == 5:
-        return 5
-    r = n % 6
-    if r in (0, 3):
-        return 2 * n // 3
-    return 2 * (n // 3) + 2
+    return 5 if n == 5 else 2 * -(-n // 3)
 
 
 def gamma_ref(n: int) -> int:

@@ -62,7 +62,7 @@ def random_subset(n, seed_bits):
 
 def domination_count(g, S, v):
     """|N(v) & S| read off the neighbour-count kernel."""
-    return int(counts(g.n, g.k, *S.arrays(g.n))[v.ring is Ring.INNER][v.index])
+    return int(counts(g.k, *S.arrays(g.n))[v.ring is Ring.INNER][v.index])
 
 
 class TestDominationCount:

@@ -61,6 +61,20 @@ class TestRelations:
     def test_sandwich(self, n):
         assert gamma_ref(n) <= f_one_two(n) <= g_one_two_total(n)
 
+    def test_paper_statements_and_total_domination(self):
+        # the paper's piecewise statements, and g's relation to the total
+        # domination number
+        for n in range(5, 10**4 + 1):
+            r = n % 6
+            if r in (0, 3):
+                f = g = 2 * n // 3
+            else:
+                f, g = 2 * (n // 3) + (1 if r == 1 else 2), 2 * (n // 3) + 2
+            if n == 5:
+                g = 5
+            assert (f_one_two(n), g_one_two_total(n)) == (f, g), n
+            assert n == 5 or g_one_two_total(n) == gamma_t_ref(n), n
+
     def test_ratio_approaches_ten_ninths(self):
         n = 600
         ratio = f_one_two(n) / gamma_ref(n)

@@ -135,7 +135,7 @@ class TestExactSearch:
         gaps, outcomes = 0, set()
         for k in range(1, (n + 1) // 2):
             g = build_petersen(n, k)
-            cu, cv = counts(n, k, outer, inner)
+            cu, cv = counts(k, outer, inner)
             for kind in K:
                 valid = (kind.accepts(cu, outer) & kind.accepts(cv, inner)).all(axis=0)
                 search = solver._ExactSearch(g, kind)
@@ -288,7 +288,9 @@ class TestCheckEq1:
         assert not report.bounds_ok
 
     @pytest.mark.parametrize(
-        "entry", [0.5, 1.0, -1, 3, True, np.float64(1), np.bool_(True)]
+        "entry",
+        [0.5, 1.0, -1, 3, True, np.float64(1), np.bool_(True)],
+        ids=["0.5", "1.0", "-1", "3", "True", "np.float64(1)", "np.bool_(True)"],
     )
     def test_bounds_refuse_non_integers(self, entry):
         # profile entries are member counts: only int and numpy integers

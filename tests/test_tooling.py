@@ -1,6 +1,7 @@
 """The suite's own configuration: a failing test must be reported as a
-failure, and the warning filters must still turn petdom's and numpy's
-deprecations, and leaked file handles, into errors."""
+failure, the warning filters must still turn petdom's and numpy's
+deprecations, and leaked file handles, into errors, and strict mode must
+refuse unregistered markers and passing xfail tests."""
 
 import subprocess
 import sys
@@ -28,6 +29,22 @@ def test_warns():
 LEAKED_FILE = """
 def test_leaks(tmp_path):
     open(tmp_path / "probe.txt", "w")
+"""
+
+UNKNOWN_MARKER = """
+import pytest
+
+@pytest.mark.unregistered
+def test_marked():
+    pass
+"""
+
+PASSING_XFAIL = """
+import pytest
+
+@pytest.mark.xfail(reason="expected to fail")
+def test_passes():
+    pass
 """
 
 
@@ -58,5 +75,18 @@ def test_leaked_file_fails(tmp_path):
     # pytest can only report it as an unraisable exception: both must be
     # errors, or the test passes with "1 warning"
     code, out = pytest_exit_code(tmp_path, LEAKED_FILE)
+    assert code == 1, out
+    assert "1 failed" in out
+
+
+def test_unknown_marker_is_an_error(tmp_path):
+    # a misspelt marker must stop the run, not pass with "1 warning"
+    code, out = pytest_exit_code(tmp_path, UNKNOWN_MARKER)
+    assert code == 2, out
+
+
+def test_passing_xfail_fails(tmp_path):
+    # an xfail test that passes no longer marks a known failure
+    code, out = pytest_exit_code(tmp_path, PASSING_XFAIL)
     assert code == 1, out
     assert "1 failed" in out
