@@ -58,6 +58,8 @@ class ConstructionSource(Enum):
     SPLICED_PATTERN = "spliced-pattern"
     SOLVER_DERIVED = "solver-derived"
 
+    __hash__ = object.__hash__  # identity, as for DominationKind
+
 
 _NONE = (0, 0, 0)
 _PAIRS = (0b010, 0b010, 3)  # the pair {u_1, v_1} of three columns

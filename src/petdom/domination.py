@@ -61,6 +61,10 @@ class DominationKind(Enum):
     ONE_TWO = "one-two"
     ONE_TWO_TOTAL = "one-two-total"
 
+    # members are singletons, so equality is identity; Enum's own hash
+    # hashes the name in Python on every dict lookup
+    __hash__ = object.__hash__
+
     @property
     def covers_members(self) -> bool:
         """Whether members of S are themselves subject to the condition."""

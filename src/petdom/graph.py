@@ -52,6 +52,8 @@ class Ring(Enum):
     OUTER = "u"
     INNER = "v"
 
+    __hash__ = object.__hash__  # identity, as for DominationKind
+
 
 _VERTEX_RE = re.compile(r"[uv]\d+")
 # names of at most 18 ASCII digits, which int64 holds, joined by commas; the

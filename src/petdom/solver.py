@@ -6,8 +6,9 @@ kinds:
 * ``brute_force_min`` searches subsets of each cardinality in turn, in
   increasing order, depth first over the vertices in column order
   (u_0, v_0, u_1, v_1, ...), where its cuts act early, and only sets
-  holding u_0, by rotational symmetry (hard limit 2n <= 26).  At the
-  first feasible size it fixes the smallest set rank by rank;
+  holding u_0, by rotational symmetry (hard limit 2n <= 26).  Each size
+  is one branch-and-bound search that keeps the smallest set found and
+  cuts branches already ranked after it;
 * ``dp_min`` (in :mod:`petdom.transfer`) runs a transfer-matrix dynamic
   program over columns and scales to very large n.
 
@@ -121,22 +122,27 @@ class _ExactSearch:
       best case);
     * more vertices lack a dominator they need than the picks left can
       reach, at most ``cover`` each;
-    * fewer positions remain than picks left.
+    * fewer positions remain than picks left;
+    * the decided outer positions already rank S after ``best``, the
+      smallest valid m-set found so far (see ``smallest``).
 
     Once no pick is left, every vertex is checked with the undecided ones
-    outside S.
+    outside S, and a valid S smaller than ``best`` replaces it.
 
     Rotation cut: i -> i + 1 on both rings is an automorphism of P(n,k),
     so if no valid m-set contains u_0, none contains any outer vertex.
     A set with no outer vertex holds v_i, u_i's only inner neighbour, for
     every i: it is the inner ring, at m = n, where the outer ring is valid
     of every kind (each u_i has two outer neighbours, each v_i has u_i)
-    and holds u_0.  So ``search`` only includes u_0.
+    and holds u_0.  So the search only includes u_0.
     """
 
     def __init__(self, g: PetersenGraph, kind: DominationKind):
         self.order = 2 * g.n
         self.full = (1 << self.order) - 1
+        self.outer = self.full // 3  # the even positions, u_0 .. u_{n-1}
+        # before[p]: the outer positions below p
+        self.before = [self.outer & (1 << p) - 1 for p in range(self.order + 1)]
         # kind.accepts on masks: a vertex passes when it is in ge1 and not
         # in ge3 & cap, or when it is in S & exempt
         self.exempt = self.full if kind.accepts(0, 1) else 0
@@ -148,65 +154,57 @@ class _ExactSearch:
         self.at = [2 * (r % g.n) + r // g.n for r in range(self.order)]
         self.nb = [0] * self.order
         self.fin = [0] * (self.order + 1)
-        for r, p in enumerate(self.at):
-            nbrs = [self.at[w] for w in g.neighbor_ranks(r)]
+        for p, row in zip(self.at, g.neighbor_table().tolist()):
+            nbrs = [self.at[w] for w in row]
             self.nb[p] = sum(1 << w for w in nbrs)
             self.fin[max(p, *nbrs) + 1] |= 1 << p
         for p in range(self.order):
             self.fin[p + 1] |= self.fin[p]
 
-    def search(self, m: int, inside: int = 1, outside: int = 0) -> int | None:
-        """The position mask of a valid m-set holding every position in
-        ``inside`` (u_0's, bit 0, among them) and none in ``outside``, or None."""
-        self.inside, self.outside = inside, outside
-        return self._dfs(1, m - 1, 1, self.nb[0], 0, 0)
-
     def smallest(self, m: int) -> VertexSet | None:
         """The valid m-set with the smallest sorted rank list, or None.
 
-        Ranks are decided in canonical order, each kept when a valid m-set
-        holds it with the ranks kept before, which gives the smallest
-        sorted rank list.  The last set found holds exactly the kept ranks
-        among those done, so a rank it holds is kept at once; any other is
-        kept only if a search forcing it and the kept ranks in, and the
-        refused ranks out, finds a set.  Forcing refused ranks out loses
-        nothing: no m-set holds one with the kept ranks.  Rank 0 is u_0,
-        which the first set holds (see the rotation cut).
+        One branch-and-bound search: ``best``, the smallest valid m-set
+        found so far as a position mask, is replaced by each smaller one
+        found.  Outer ranks come before inner ones, and the search decides
+        u_0, u_1, ... in turn, so a branch whose lowest decided outer
+        position in S ^ best lies in best ranks after best and is cut.
         """
-        found, done = self.search(m), 1
-        if found is None:
-            return None
-        for p in self.at[1:]:
-            if not found >> p & 1:
-                # a set found holds u_0, so its mask is never 0
-                found = self.search(m, found & done | 1 << p, done & ~found) or found
-            done |= 1 << p
-        mask = sum(1 << r for r, p in enumerate(self.at) if found >> p & 1)
+        self.best = 0
+        # u_0 is in the smallest set (see the rotation cut)
+        self._dfs(1, m - 1, 1, self.nb[0], 0, 0)
+        mask = sum(1 << r for r, p in enumerate(self.at) if self.best >> p & 1)
         # the low n rank bits are the outer ring, the next n the inner
-        return VertexSet(mask & (1 << self.order // 2) - 1, mask >> self.order // 2)
+        n = self.order // 2
+        return VertexSet(mask & (1 << n) - 1, mask >> n) if mask else None
 
-    def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int) -> int | None:
+    def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int) -> None:
         # positions below p are decided; left more members are to be picked
+        best = self.best
         if not left:
-            bad = (self.full & ~ge1 | ge3 & self.cap) & ~(S & self.exempt)
-            return None if bad or self.inside & ~S else S
+            if (self.full & ~ge1 | ge3 & self.cap) & ~(S & self.exempt):
+                return
+            # the lowest outer position in S ^ best, else the lowest inner
+            diff = S ^ best
+            diff = diff & self.outer or diff
+            if not best & diff & -diff:
+                self.best = S
+            return
         while True:
+            if best:
+                diff = (S ^ best) & self.before[p]
+                if best & diff & -diff:
+                    return
             # members, and positions from p on at best, may be exempt
             maybe = (S | self.full >> p << p) & self.exempt
             if (self.fin[p] & ~ge1 | ge3 & self.cap) & ~maybe:
-                return None
+                return
             need = self.full ^ (ge1 | S & self.exempt)
             if need.bit_count() > self.cover * left or left > self.order - p:
-                return None
-            if not self.outside >> p & 1:
-                nb = self.nb[p]
-                found = self._dfs(
-                    p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb
-                )
-                if found is not None:
-                    return found
-            if self.inside >> p & 1:
-                return None
+                return
+            nb = self.nb[p]
+            self._dfs(p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb)
+            best = self.best
             p += 1
 
 
@@ -215,10 +213,10 @@ def brute_force_min(
 ) -> SolveResult:
     """Exact minimum by cardinality-ordered exhaustive search.
 
-    Limited to 2n <= 26 vertices.  Each size is decided in column order;
-    at the first feasible size ``_ExactSearch.smallest`` fixes the
-    lexicographically smallest witness rank by rank.  When ``budget`` is
-    given, only sets of at most that cardinality are searched and
+    Limited to 2n <= 26 vertices.  Each size is one branch-and-bound
+    search, ``_ExactSearch.smallest``, so the first feasible size gives
+    the lexicographically smallest witness.  When ``budget`` is given,
+    only sets of at most that cardinality are searched and
     InfeasibleError is raised if none is valid.
     """
     kind = DominationKind.require(kind, "brute_force_min")

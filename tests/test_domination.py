@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 import re
 
@@ -27,8 +29,9 @@ from petdom import (
     induced_components,
     is_valid,
 )
-from petdom.constructions import build_construction
+from petdom.constructions import ConstructionSource, build_construction
 from petdom.domination import counts, form_is_valid
+from petdom.formulas import BY_KIND
 from petdom.graph import Block, ColumnForm
 
 K = DominationKind
@@ -107,6 +110,22 @@ class TestAccepts:
         got = kind.accepts(c, m)
         assert got.dtype == np.bool_
         assert got.tolist() == [kind.accepts(int(x), int(y)) for x, y in zip(c, m)]
+
+
+class TestEnumIdentity:
+    @pytest.mark.parametrize("enum", [DominationKind, Ring, ConstructionSource])
+    def test_copies_are_the_member_and_hash_by_identity(self, enum):
+        for member in enum:
+            for twin in (copy.copy(member), copy.deepcopy(member),
+                         pickle.loads(pickle.dumps(member))):
+                assert twin is member
+                assert hash(twin) == object.__hash__(member)
+                assert {member: 1}[twin] == 1
+
+    @pytest.mark.parametrize("kind", list(K))
+    def test_round_tripped_kind_finds_its_formula(self, kind):
+        for twin in (copy.copy(kind), pickle.loads(pickle.dumps(kind))):
+            assert BY_KIND[twin] is BY_KIND[kind]
 
 
 class TestFromText:
