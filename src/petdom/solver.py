@@ -5,10 +5,13 @@ kinds:
 
 * ``brute_force_min`` searches subsets of each cardinality in turn, in
   increasing order, depth first over the vertices in column order
-  (u_0, v_0, u_1, v_1, ...), where its cuts act early, and only sets
-  holding u_0, by rotational symmetry (hard limit 2n <= 26).  Each size
-  is one branch-and-bound search that keeps the smallest set found and
-  cuts branches already ranked after it;
+  (u_0, v_0, u_1, v_1, ...), where its cuts act early, and, by
+  rotational symmetry, only sets whose outer string x_i = [u_i in S] is a
+  necklace: a decided outer prefix is extended only while it passes the
+  Fredricksen-Kessler-Maiorana prenecklace test, one O(1) step per outer
+  position (hard limit 2n <= 26).  Each size is one branch-and-bound
+  search that keeps the smallest set found and cuts branches already
+  ranked after it;
 * ``dp_min`` (in :mod:`petdom.transfer`) runs a transfer-matrix dynamic
   program over columns and scales to very large n.
 
@@ -126,15 +129,28 @@ class _ExactSearch:
     * the decided outer positions already rank S after ``best``, the
       smallest valid m-set found so far (see ``smallest``).
 
+    Including an outer position is also cut when the outer prefix it
+    would make fails the necklace cut below.
+
     Once no pick is left, every vertex is checked with the undecided ones
     outside S, and a valid S smaller than ``best`` replaces it.
 
-    Rotation cut: i -> i + 1 on both rings is an automorphism of P(n,k),
-    so if no valid m-set contains u_0, none contains any outer vertex.
-    A set with no outer vertex holds v_i, u_i's only inner neighbour, for
-    every i: it is the inner ring, at m = n, where the outer ring is valid
-    of every kind (each u_i has two outer neighbours, each v_i has u_i)
-    and holds u_0.  So the search only includes u_0.
+    Necklace cut: i -> i + j on both rings is an automorphism of P(n,k),
+    so the smallest valid m-set W ranks no later than any of its
+    rotations.  Outer ranks come first, and of two sets whose outer
+    vertices first differ at index i, the one holding u_i ranks first.  So
+    W's outer string x_i = [u_i in W] is the smallest of its n rotations
+    over the alphabet 1 < 0: a necklace.  Every prefix of a necklace is a
+    prenecklace, which the Fredricksen-Kessler-Maiorana test checks one
+    position at a time with the prefix's period per: x_i may be 1 only
+    when x_(i - per) is 1, and x_i = 0 after x_(i - per) = 1 sets
+    per = i + 1; otherwise per is kept.  The search cuts every other
+    branch, so it never cuts W.  W holds an outer vertex, so its necklace
+    starts with x_0 = 1: a set with none holds v_i, u_i's only inner
+    neighbour, for every i, so it is the inner ring, at m = n, where the
+    outer ring is valid of every kind (each u_i has two outer neighbours,
+    each v_i has u_i) and ranks first.  So the search starts with x_0 = 1
+    and per = 1.
     """
 
     def __init__(self, g: PetersenGraph, kind: DominationKind):
@@ -171,15 +187,16 @@ class _ExactSearch:
         position in S ^ best lies in best ranks after best and is cut.
         """
         self.best = 0
-        # u_0 is in the smallest set (see the rotation cut)
-        self._dfs(1, m - 1, 1, self.nb[0], 0, 0)
+        # x_0 = 1, a prenecklace of period 1 (see the necklace cut)
+        self._dfs(1, m - 1, 1, self.nb[0], 0, 0, 1)
         mask = sum(1 << r for r, p in enumerate(self.at) if self.best >> p & 1)
         # the low n rank bits are the outer ring, the next n the inner
         n = self.order // 2
         return VertexSet(mask & (1 << n) - 1, mask >> n) if mask else None
 
-    def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int) -> None:
-        # positions below p are decided; left more members are to be picked
+    def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int, per: int) -> None:
+        # positions below p are decided; left more members are to be picked;
+        # per is the period of the decided outer prefix (see the necklace cut)
         best = self.best
         if not left:
             if (self.full & ~ge1 | ge3 & self.cap) & ~(S & self.exempt):
@@ -202,9 +219,14 @@ class _ExactSearch:
             need = self.full ^ (ge1 | S & self.exempt)
             if need.bit_count() > self.cover * left or left > self.order - p:
                 return
-            nb = self.nb[p]
-            self._dfs(p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb, ge3 | ge2 & nb)
-            best = self.best
+            # u_i, at p = 2i, may join S only when u_(i - per) is in S
+            if p & 1 or S >> p - 2 * per & 1:
+                nb = self.nb[p]
+                self._dfs(p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb,
+                          ge3 | ge2 & nb, per)
+                best = self.best
+                if not p & 1:  # and leaving it out makes the prefix its own period
+                    per = p // 2 + 1
             p += 1
 
 

@@ -140,8 +140,8 @@ class TestExactSearch:
                         row = int(rows[np.lexsort(members.T[::-1])[0]])
                         expected = VertexSet(row & (1 << n) - 1, row >> n)
                     elif valid[sizes < m].any():
-                        # above the minimum, the search that includes u_0
-                        # runs to the end without a find
+                        # above the minimum, the search over necklace
+                        # outer strings runs to the end without a find
                         gaps += 1
                     assert search.smallest(m) == expected, (k, kind, m)
         assert gaps
@@ -166,9 +166,10 @@ class TestExactSearch:
             assert search.fin == fin, k
 
     def test_outer_ring_is_valid_of_every_kind(self):
-        # why search only includes u_0: a valid set with no outer vertex is
-        # the inner ring, at m = n, where the outer ring (holding u_0) is
-        # valid too, since each u_i has two outer neighbours and v_i has u_i
+        # why the search starts with u_0 in S: a valid set with no outer
+        # vertex is the inner ring, at m = n, where the outer ring (holding
+        # u_0) is valid too, since each u_i has two outer neighbours and v_i
+        # has u_i
         from petdom import is_valid
 
         for n in range(3, 41):
@@ -178,15 +179,36 @@ class TestExactSearch:
                 for kind in K:
                     assert is_valid(g, ring, kind).valid, (n, k, kind)
 
+    def test_witness_ranks_first_in_its_orbit(self):
+        # the symmetry the necklace cut rests on, checked without the search:
+        # each rotation i -> i + j of the witness W, on both rings, is valid
+        # too, and no rotation and no reflection i -> j - i of W ranks
+        # before it, so W's outer string is a necklace
+        from petdom import is_valid
+
+        for n in range(5, 14):
+            for k in range(1, (n + 1) // 2):
+                g = build_petersen(n, k)
+                for kind in K:
+                    w = brute_force_min(g, kind).witness
+                    ranks = [g.rank(v) for v in w]
+                    for j in range(n):
+                        rotated = VertexSet.of(Vertex(v.ring, (v.index + j) % n) for v in w)
+                        reflected = VertexSet.of(Vertex(v.ring, (j - v.index) % n) for v in w)
+                        assert is_valid(g, rotated, kind).valid, (n, k, kind, j)
+                        for image in rotated, reflected:
+                            assert ranks <= [g.rank(v) for v in image], (n, k, kind, j)
+
     def test_node_count(self, monkeypatch):
         # a deterministic work gate: the plain call, which proves m = 7 and
         # m = 8 infeasible and then finds the smallest 9-set in one
         # branch-and-bound search, and the budget call, which only proves,
-        # enter _dfs 5,169 times in all, 1,912 of them in the budget call
-        # (6,085 when the 9-set was fixed rank by rank, one search per
-        # rank; 7,935 when a second, canonical-order search picked the
-        # witness; a canonical search of every size took about 39,000
-        # calls, about 100,000 without the rotation cut)
+        # enter _dfs 3,186 times in all, 959 of them in the budget call
+        # (5,169 and 1,912 when the search only required u_0 in S; 6,085
+        # when the 9-set was fixed rank by rank, one search per rank; 7,935
+        # when a second, canonical-order search picked the witness; a
+        # canonical search of every size took about 39,000 calls, about
+        # 100,000 without requiring u_0 in S)
         calls = []
         dfs = solver._ExactSearch._dfs
 
@@ -200,19 +222,20 @@ class TestExactSearch:
         plain = len(calls)
         with pytest.raises(InfeasibleError):
             brute_force_min(g, K.ONE_TWO, budget=f_one_two(13) - 1)
-        assert len(calls) - plain <= 2_200
-        assert len(calls) <= 5_500
+        assert len(calls) - plain <= 1_030
+        assert len(calls) <= 3_400
 
     @pytest.mark.parametrize("kind", list(K))
     def test_matches_dp_over_base_range(self, kind, monkeypatch):
         # the closed forms for all n rest on the DP's minima for n = 5..N+p,
         # (N, p) the chain's cycle: the search, which shares no code with the
         # transfer matrix, confirms each minimum and witness, past 2n = 26.
-        # A work gate too, about 7% above the range's _dfs calls: 178,705,
-        # 4,965, 219,993 and 4,981 (219,445, 10,140, 235,775 and 9,781 when
-        # the witness was fixed rank by rank)
-        nodes = {K.PLAIN: 191_000, K.TOTAL: 5_300, K.ONE_TWO: 235_000,
-                 K.ONE_TWO_TOTAL: 5_300}[kind]
+        # A work gate too, about 7% above the range's _dfs calls: 103,816,
+        # 4,102, 100,283 and 4,102 (178,705, 4,965, 219,993 and 4,981 when
+        # the search only required u_0 in S; 219,445, 10,140, 235,775 and
+        # 9,781 when the witness was fixed rank by rank)
+        nodes = {K.PLAIN: 111_000, K.TOTAL: 4_400, K.ONE_TWO: 107_300,
+                 K.ONE_TWO_TOTAL: 4_400}[kind]
         calls = []
         dfs = solver._ExactSearch._dfs
 
