@@ -81,14 +81,18 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _range_rows(args, kinds: list[DominationKind]) -> list[tuple[int, ...]]:
+    """Per n of the range: n, each kind's formula, then each kind's DP
+    minimum.  ``dp_minima`` checks the range before any formula runs, and
+    the formulas run one column at a time."""
+    minima = [dp_minima(args.start, args.end, kind) for kind in kinds]
+    ns = range(args.start, args.end + 1)
+    return list(zip(ns, *[list(map(BY_KIND[kind], ns)) for kind in kinds], *minima))
+
+
 def cmd_verify(args) -> int:
     kind = DominationKind.from_text(args.kind)
-    dp = dp_minima(args.start, args.end, kind)
-    formula = BY_KIND[kind]
-    rows = []
-    for n, got in zip(range(args.start, args.end + 1), dp):
-        expected = formula(n)
-        rows.append([n, expected, got, expected == got])
+    rows = [[*row, row[1] == row[2]] for row in _range_rows(args, [kind])]
     all_match = all(match for *_, match in rows)
     header = ["n", "formula", "dp", "match"]
     if args.format == "json":
@@ -123,11 +127,7 @@ def cmd_table(args) -> int:
         "n", "gamma_ref", "gamma_t_ref", "f", "g",
         "dp_plain", "dp_total", "dp_one_two", "dp_one_two_total",
     ]
-    columns = [dp_minima(args.start, args.end, kind) for kind in DominationKind]
-    rows = [
-        [n, *(formula(n) for formula in BY_KIND.values()), *dp]
-        for n, *dp in zip(range(args.start, args.end + 1), *columns)
-    ]
+    rows = _range_rows(args, list(DominationKind))
     if args.format == "json":
         print(json.dumps([dict(zip(header, r)) for r in rows]))
     else:

@@ -3,8 +3,10 @@
 The graph P(n,k) has outer vertices u_0..u_{n-1} forming a cycle, inner
 vertices v_0..v_{n-1}, spokes u_i-v_i and inner skip edges v_i-v_{i+k}
 (all indices modulo n).  A graph is just the pair (n, k): vertices are
-numbered by rank in canonical order (u_i is rank i, v_i rank n + i), and
-``neighbor_ranks`` (all ranks at once: ``neighbor_table``) is the adjacency.
+numbered by rank in canonical order (u_i is rank i, v_i rank n + i).  The
+adjacency is written once, in ``PetersenGraph._adjacency``, for one column
+or all of them; ``neighbor_ranks`` (all ranks at once: ``neighbor_table``)
+sorts it.
 
 Every layer shares one vertex-set representation, two bitmasks (see
 ``VertexSet``), and walks ranks; ``Vertex`` objects are built only at the
@@ -350,24 +352,24 @@ class PetersenGraph:
         r = require_int("r", r, 0, 2 * self.n - 1)
         return Vertex(Ring.OUTER, r) if r < self.n else Vertex(Ring.INNER, r - self.n)
 
+    def _adjacency(self, i):
+        """The neighbour ranks of u_i, then of v_i, unsorted, for an int i in
+        [0, n) or an index array: u_{i-1}, u_{i+1}, v_i and u_i, v_{i-k},
+        v_{i+k}."""
+        n, k = self.n, self.k
+        return ((i - 1) % n, (i + 1) % n, n + i), (i, n + (i - k) % n, n + (i + k) % n)
+
     def neighbor_ranks(self, r: int) -> tuple[int, int, int]:
-        """The ranks of the three neighbors of rank r, ascending: u_{i-1},
-        u_{i+1}, v_i of u_i, and u_i, v_{i-k}, v_{i+k} of v_i."""
-        n, r = self.n, require_int("r", r, 0, 2 * self.n - 1)
-        if r < n:
-            a, b = (r - 1) % n, (r + 1) % n
-            return (a, b, n + r) if a < b else (b, a, n + r)
-        i = r - n
-        a, b = n + (i - self.k) % n, n + (i + self.k) % n
-        return (i, a, b) if a < b else (i, b, a)
+        """The ranks of the three neighbors of rank r, ascending (see
+        ``_adjacency``)."""
+        ring, i = divmod(require_int("r", r, 0, 2 * self.n - 1), self.n)
+        return tuple(sorted(self._adjacency(i)[ring]))
 
     def neighbor_table(self) -> np.ndarray:
         """The (2n, 3) array whose row r is ``neighbor_ranks(r)``."""
         check_columns(self.n)
-        n, k, i = self.n, self.k, np.arange(self.n)
-        outer = np.stack(((i - 1) % n, (i + 1) % n, n + i), axis=1)
-        inner = np.stack((i, n + (i - k) % n, n + (i + k) % n), axis=1)
-        return np.sort(np.concatenate((outer, inner)), axis=1)
+        rings = self._adjacency(np.arange(self.n))
+        return np.sort(np.concatenate([np.stack(ring, axis=1) for ring in rings]), axis=1)
 
     def neighbors(self, v: Vertex) -> list[Vertex]:
         """The three neighbors of v, canonically sorted."""

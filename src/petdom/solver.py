@@ -110,13 +110,15 @@ class _ExactSearch:
     position 2i, v_i at 2i + 1, so a vertex's closed neighbourhood is
     decided about two columns after its own and the cuts below act early.
 
-    A branch is four int masks over positions, passed down and never
+    A branch is four int masks over ranks, bit r for rank r as in
+    ``VertexSet`` (u_i is rank i, v_i rank n + i), passed down and never
     undone: S, its members, and ge1, ge2, ge3, the vertices with at least
-    1, 2 or 3 members among their neighbours.  Including p with neighbour
-    mask nb sets ge3 |= ge2 & nb, ge2 |= ge1 & nb and ge1 |= nb.
-    Excluding p moves on to p + 1 in the same call, so ``_dfs`` runs once
-    per include branch.  With positions below p decided, a branch is cut
-    when
+    1, 2 or 3 members among their neighbours.  Positions are only the
+    decision order: position p decides rank[p].  Including it with
+    neighbour mask nb sets ge3 |= ge2 & nb, ge2 |= ge1 & nb and
+    ge1 |= nb.  Excluding it moves on to p + 1 in the same call, so
+    ``_dfs`` runs once per include branch.  With positions below p
+    decided, a branch is cut when
 
     * a vertex of fin[p], whose closed neighbourhood lies below p, lacks
       a dominator it needs;
@@ -126,7 +128,7 @@ class _ExactSearch:
     * more vertices lack a dominator they need than the picks left can
       reach, at most ``cover`` each;
     * fewer positions remain than picks left;
-    * the decided outer positions already rank S after ``best``, the
+    * the decided outer ranks already rank S after ``best``, the
       smallest valid m-set found so far (see ``smallest``).
 
     Including an outer position is also cut when the outer prefix it
@@ -137,10 +139,12 @@ class _ExactSearch:
 
     Necklace cut: i -> i + j on both rings is an automorphism of P(n,k),
     so the smallest valid m-set W ranks no later than any of its
-    rotations.  Outer ranks come first, and of two sets whose outer
-    vertices first differ at index i, the one holding u_i ranks first.  So
-    W's outer string x_i = [u_i in W] is the smallest of its n rotations
-    over the alphabet 1 < 0: a necklace.  Every prefix of a necklace is a
+    rotations.  Of two sets, the one holding the lowest bit of their
+    symmetric difference ranks first, and the outer ring is the low n
+    bits, so of two sets whose outer vertices first differ at index i, the
+    one holding u_i ranks first.  So W's outer string x_i = [u_i in W] is
+    the smallest of its n rotations over the alphabet 1 < 0: a necklace,
+    the low n bits of W read from bit 0.  Every prefix of a necklace is a
     prenecklace, which the Fredricksen-Kessler-Maiorana test checks one
     position at a time with the prefix's period per: x_i may be 1 only
     when x_(i - per) is 1, and x_i = 0 after x_(i - per) = 1 sets
@@ -156,9 +160,6 @@ class _ExactSearch:
     def __init__(self, g: PetersenGraph, kind: DominationKind):
         self.order = 2 * g.n
         self.full = (1 << self.order) - 1
-        self.outer = self.full // 3  # the even positions, u_0 .. u_{n-1}
-        # before[p]: the outer positions below p
-        self.before = [self.outer & (1 << p) - 1 for p in range(self.order + 1)]
         # kind.accepts on masks: a vertex passes when it is in ge1 and not
         # in ge3 & cap, or when it is in S & exempt
         self.exempt = self.full if kind.accepts(0, 1) else 0
@@ -167,32 +168,34 @@ class _ExactSearch:
         # dominator (3 neighbors, plus itself unless members also need one)
         self.cover = 3 if kind.covers_members else 4
 
-        self.at = [2 * (r % g.n) + r // g.n for r in range(self.order)]
-        self.nb = [0] * self.order
+        # position p decides rank[p]: u_i at 2i, v_i at 2i + 1
+        self.rank = [p // 2 + g.n * (p & 1) for p in range(self.order)]
+        at = [*range(0, self.order, 2), *range(1, self.order, 2)]  # rank -> position
+        rows = g.neighbor_table().tolist()
+        self.nb = [sum(1 << w for w in rows[r]) for r in self.rank]
         self.fin = [0] * (self.order + 1)
-        for p, row in zip(self.at, g.neighbor_table().tolist()):
-            nbrs = [self.at[w] for w in row]
-            self.nb[p] = sum(1 << w for w in nbrs)
-            self.fin[max(p, *nbrs) + 1] |= 1 << p
+        for r, row in enumerate(rows):
+            self.fin[max(at[r], *(at[w] for w in row)) + 1] |= 1 << r
+        # undecided[p]: the ranks decided at positions p and later
+        self.undecided = [self.full] * (self.order + 1)
         for p in range(self.order):
             self.fin[p + 1] |= self.fin[p]
+            self.undecided[p + 1] = self.undecided[p] ^ 1 << self.rank[p]
 
     def smallest(self, m: int) -> VertexSet | None:
         """The valid m-set with the smallest sorted rank list, or None.
 
         One branch-and-bound search: ``best``, the smallest valid m-set
-        found so far as a position mask, is replaced by each smaller one
-        found.  Outer ranks come before inner ones, and the search decides
-        u_0, u_1, ... in turn, so a branch whose lowest decided outer
-        position in S ^ best lies in best ranks after best and is cut.
+        found so far as a rank mask, is replaced by each smaller one found.
+        Outer ranks come before inner ones, and the search decides u_0,
+        u_1, ... in turn, so a branch whose lowest decided outer rank in
+        S ^ best lies in best ranks after best and is cut.
         """
         self.best = 0
         # x_0 = 1, a prenecklace of period 1 (see the necklace cut)
         self._dfs(1, m - 1, 1, self.nb[0], 0, 0, 1)
-        mask = sum(1 << r for r, p in enumerate(self.at) if self.best >> p & 1)
-        # the low n rank bits are the outer ring, the next n the inner
-        n = self.order // 2
-        return VertexSet(mask & (1 << n) - 1, mask >> n) if mask else None
+        best, n = self.best, self.order // 2
+        return VertexSet(best & (1 << n) - 1, best >> n) if best else None
 
     def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int, per: int) -> None:
         # positions below p are decided; left more members are to be picked;
@@ -201,29 +204,29 @@ class _ExactSearch:
         if not left:
             if (self.full & ~ge1 | ge3 & self.cap) & ~(S & self.exempt):
                 return
-            # the lowest outer position in S ^ best, else the lowest inner
+            # S ranks first when the lowest rank in S ^ best is in S
             diff = S ^ best
-            diff = diff & self.outer or diff
             if not best & diff & -diff:
                 self.best = S
             return
         while True:
             if best:
-                diff = (S ^ best) & self.before[p]
+                # the outer ranks decided so far: u_0 .. u_((p - 1) // 2)
+                diff = (S ^ best) & (1 << (p + 1) // 2) - 1
                 if best & diff & -diff:
                     return
-            # members, and positions from p on at best, may be exempt
-            maybe = (S | self.full >> p << p) & self.exempt
+            # members, and ranks decided from p on at best, may be exempt
+            maybe = (S | self.undecided[p]) & self.exempt
             if (self.fin[p] & ~ge1 | ge3 & self.cap) & ~maybe:
                 return
             need = self.full ^ (ge1 | S & self.exempt)
             if need.bit_count() > self.cover * left or left > self.order - p:
                 return
             # u_i, at p = 2i, may join S only when u_(i - per) is in S
-            if p & 1 or S >> p - 2 * per & 1:
+            if p & 1 or S >> p // 2 - per & 1:
                 nb = self.nb[p]
-                self._dfs(p + 1, left - 1, S | 1 << p, ge1 | nb, ge2 | ge1 & nb,
-                          ge3 | ge2 & nb, per)
+                self._dfs(p + 1, left - 1, S | 1 << self.rank[p], ge1 | nb,
+                          ge2 | ge1 & nb, ge3 | ge2 & nb, per)
                 best = self.best
                 if not p & 1:  # and leaving it out makes the prefix its own period
                     per = p // 2 + 1

@@ -148,22 +148,26 @@ class TestExactSearch:
 
     @pytest.mark.parametrize("n", range(3, 14))
     def test_tables_match_neighbor_ranks(self, n):
-        # nb[p]: the neighbour positions of position p; fin[p]: the
-        # positions whose closed neighbourhood lies below p; neither depends
-        # on the kind
+        # masks are over ranks, bit r for rank r; positions are the decision
+        # order, column by column.  rank[p]: the rank decided at position p;
+        # nb[p]: the neighbour ranks of rank[p]; fin[p]: the ranks whose
+        # closed neighbourhood is decided below p; undecided[p]: the ranks
+        # decided at p and later.  None depends on the kind
         for k in range(1, (n + 1) // 2):
             g = build_petersen(n, k)
             search = solver._ExactSearch(g, K.PLAIN)
-            at = search.at
-            nb = [0] * (2 * n)
-            fin = [0] * (2 * n + 1)
-            for r in range(2 * n):
-                nbrs = [at[w] for w in g.neighbor_ranks(r)]
-                nb[at[r]] = sum(1 << w for w in nbrs)
-                for p in range(max(at[r], *nbrs) + 1, 2 * n + 1):
-                    fin[p] |= 1 << at[r]
-            assert search.nb == nb, k
-            assert search.fin == fin, k
+            columns = sorted(g.vertices(), key=lambda v: (v.index, v.ring is Ring.INNER))
+            rank = [g.rank(v) for v in columns]
+            at = {r: p for p, r in enumerate(rank)}
+            last = {r: max(at[w] for w in (r, *g.neighbor_ranks(r))) for r in rank}
+            assert search.rank == rank, k
+            assert search.nb == [sum(1 << w for w in g.neighbor_ranks(r)) for r in rank], k
+            assert search.fin == [
+                sum(1 << r for r in rank if last[r] < p) for p in range(2 * n + 1)
+            ], k
+            assert search.undecided == [
+                sum(1 << r for r in rank[p:]) for p in range(2 * n + 1)
+            ], k
 
     def test_outer_ring_is_valid_of_every_kind(self):
         # why the search starts with u_0 in S: a valid set with no outer

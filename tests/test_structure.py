@@ -1,6 +1,6 @@
-"""Layering guards: adjacency is asked of graph.py only, and the proof
-artifacts in domination.py work from the count kernel and ranks, not
-per-block sets or per-member Vertex objects."""
+"""Layering guards: adjacency is asked of graph.py only and written there
+once, and the proof artifacts in domination.py work from the count kernel
+and ranks, not per-block sets or per-member Vertex objects."""
 
 import ast
 from pathlib import Path
@@ -137,3 +137,15 @@ def test_blocks_and_components_build_no_vertex():
             elif isinstance(node, ast.Attribute) and node.attr in ("vertex", "vertices"):
                 found.append((part, f".{node.attr}", node.lineno))
     assert found == []
+
+
+def test_adjacency_written_once():
+    # P(n,k)'s edges are stated in PetersenGraph._adjacency alone: the rank
+    # and table forms each call it and reduce no index mod n themselves
+    tree = _tree("graph.py")
+    for name in ("neighbor_ranks", "neighbor_table"):
+        body = _method(tree, "PetersenGraph", name)
+        assert _calls(body, "_adjacency"), name
+        mods = [node.lineno for node in ast.walk(body)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)]
+        assert mods == [], name
