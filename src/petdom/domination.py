@@ -8,13 +8,14 @@ Four predicates over a vertex subset S, stated via c(v) = |N(v) & S|:
 * ONE_TWO_TOTAL:  1 <= c(v) <= 2   for every v.
 
 Every layer states them through ``DominationKind.accepts(count, member)``
-(on ints or numpy arrays).  ``is_valid`` and the constructions get c from
-the one neighbour-count kernel ``counts(k, outer, inner)``; the brute
-force and the transfer DP apply ``accepts`` to their own running counts.
+(on ints or numpy arrays).  ``is_valid`` reads S's bitmasks, whose ring
+rotations give each vertex's neighbours in S, and states ``accepts`` on
+masks in ``_exempt_cap``, as the brute force does; ``form_is_valid`` and
+the proof artifacts count with the kernel ``counts(k, outer, inner)`` on
+membership arrays; the transfer DP keeps its own running counts.
 
 ``is_valid`` reports every offending vertex (never just the first), so
-tests can assert exact violation sets.  Counts are recomputed from
-scratch on each call; nothing is cached.
+tests can assert exact violation sets.  Nothing is cached.
 
 On top of the validators sit the proof artifacts for P(n,2): the
 bucketing of blocks by |block & S|, the classification of blocks
@@ -31,8 +32,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CensusError, ClassificationImpossibleError, ParameterError, require_int
-from .graph import Block, ColumnForm, PetersenGraph, Ring, Vertex, VertexSet
+from .errors import (CensusError, ClassificationImpossibleError, ParameterError,
+                     check_columns, require_int)
+from .graph import Block, ColumnForm, PetersenGraph, Ring, Vertex, VertexSet, _indices
 
 __all__ = [
     "DominationKind",
@@ -132,24 +134,44 @@ def counts(k: int, outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np
     the length-n 0/1 membership arrays of S on each ring."""
 
     # each ring once, padded with its wrapped neighbours, and sliced: not
-    # np.roll, whose per-call overhead dominates at the small n the
-    # solvers validate
+    # np.roll, whose per-call overhead dominates at small n
     po = np.concatenate((outer[-1:], outer, outer[:1]))
     pi = np.concatenate((inner[-k:], inner, inner[:k]))
     return po[:-2] + po[2:] + inner, pi[:-2 * k] + pi[2 * k:] + outer
 
 
+def _exempt_cap(kind: DominationKind, full: int) -> tuple[int, int]:
+    """``kind.accepts`` on masks, as (exempt, cap), each 0 or ``full``: a vertex
+    passes in ge1 & ~(ge3 & cap) | S & exempt (ge_j: j or more neighbours in S)."""
+    return full if kind.accepts(0, 1) else 0, 0 if kind.accepts(3, 0) else full
+
+
 def is_valid(g: PetersenGraph, S: VertexSet, kind: DominationKind) -> ValidationReport:
     """Check the domination predicate, listing every offending vertex."""
     kind = DominationKind.require(kind, "is_valid")
-    outer, inner = S.arrays(g.n)
-    cu, cv = counts(g.k, outer, inner)
+    n, k = g.n, g.k
+    check_columns(n)
+    S.require_below(n)
+    ring = (1 << n) - 1
+
+    def rot(x: int, s: int) -> int:  # bit i is bit (i + s) % n of x
+        return (x >> s | x << n - s) & ring
+
+    U, V, (exempt, cap) = S.outer, S.inner, _exempt_cap(kind, ring)
     violations: list[Violation] = []
-    for ring, member, c in ((Ring.OUTER, outer, cu), (Ring.INNER, inner, cv)):
-        for i in np.flatnonzero(~kind.accepts(c, member)).tolist():
-            count = int(c[i])
-            bound = Bound.TOO_FEW if count < 1 else Bound.TOO_MANY
-            violations.append(Violation(Vertex(ring, i), count, bound))
+    # bit i of a, b, c: whether u_(i+1), u_(i-1), v_i are in S, for u_i's
+    # ring, and v_(i+k), v_(i-k), u_i for v_i's
+    for side, member, a, b, c in ((Ring.OUTER, U, rot(U, 1), rot(U, n - 1), V),
+                                  (Ring.INNER, V, rot(V, k), rot(V, n - k), U)):
+        ge1 = a | b | c
+        if bad := ring ^ (ge1 & ~(a & b & c & cap) | member & exempt):
+            # by the rule, a violator is outside ge1 (no neighbour in S) or
+            # in ge3 & cap (all three)
+            many = set(_indices(bad & ge1))
+            for i in _indices(bad):
+                v = Vertex(side, i)
+                violations.append(Violation(v, 3, Bound.TOO_MANY) if i in many
+                                  else Violation(v, 0, Bound.TOO_FEW))
     return ValidationReport(not violations, tuple(violations))
 
 

@@ -123,10 +123,10 @@ class VertexSet:
 
     Bit i of ``outer`` is set when u_i is in S, bit i of ``inner`` when
     v_i is, so equality, hashing, ``|``, ``&`` and ``len`` are those of
-    ints.  S does not know n: ``arrays(n)``, which validators go through,
-    rejects indices >= n.  ``members``, iteration and ``sorted()`` build
-    ``Vertex`` objects on demand.  Text form is the comma-separated list
-    of vertex names in canonical order, e.g. "u1,u4,v1,v4".
+    ints.  S does not know n: validators go through ``require_below(n)``
+    or ``arrays(n)``, which reject indices >= n.  ``members``, iteration
+    and ``sorted()`` build ``Vertex`` objects on demand.  Its text is the
+    names in canonical order joined by commas, e.g. "u1,u4,v1,v4".
     """
 
     outer: int = 0

@@ -9,9 +9,9 @@ kinds:
   rotational symmetry, only sets whose outer string x_i = [u_i in S] is a
   necklace: a decided outer prefix is extended only while it passes the
   Fredricksen-Kessler-Maiorana prenecklace test, one O(1) step per outer
-  position (hard limit 2n <= 26).  Each size is one branch-and-bound
-  search that keeps the smallest set found and cuts branches already
-  ranked after it;
+  position (hard limit 2n <= 44 for k = 2, else 2n <= 26).  Each size
+  is one branch-and-bound search that keeps the smallest set found and
+  cuts branches already ranked after it;
 * ``dp_min`` (in :mod:`petdom.transfer`) runs a transfer-matrix dynamic
   program over columns and scales to very large n.
 
@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
-from .domination import DominationKind, is_valid
+from .domination import DominationKind, _exempt_cap, is_valid
 from .errors import (
     InfeasibleError,
     InternalError,
@@ -53,8 +54,6 @@ __all__ = [
     "check_eq1",
     "enumerate_eq1",
 ]
-
-BRUTE_FORCE_VERTEX_LIMIT = 26
 
 
 class SolveMethod(Enum):
@@ -103,6 +102,28 @@ class SolveResult:
         return out
 
 
+@cache
+def _search_tables(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """``_ExactSearch``'s kind-independent tables of P(n,k), as tuples, which
+    each search copies to lists of its own."""
+    order = 2 * n
+    # position p decides rank[p]: u_i at 2i, v_i at 2i + 1
+    rank = [p // 2 + n * (p & 1) for p in range(order)]
+    at = [*range(0, order, 2), *range(1, order, 2)]  # rank -> position
+    rows = PetersenGraph(n, k).neighbor_table().tolist()
+    nb = [sum(1 << w for w in rows[r]) for r in rank]
+    fin = [0] * (order + 1)
+    for r, row in enumerate(rows):
+        fin[max(at[r], *(at[w] for w in row)) + 1] |= 1 << r
+    # undecided[p]: the ranks decided at positions p and later
+    undecided = [(1 << order) - 1] * (order + 1)
+    for p in range(order):
+        fin[p + 1] |= fin[p]
+        undecided[p + 1] = undecided[p] ^ 1 << rank[p]
+    prefix = [(1 << (p + 1) // 2) - 1 for p in range(order + 1)]  # outer ranks below p
+    return tuple(map(tuple, (rank, nb, fin, undecided, prefix)))
+
+
 class _ExactSearch:
     """Depth-first search over subsets of exactly m vertices.
 
@@ -117,7 +138,9 @@ class _ExactSearch:
     decision order: position p decides rank[p].  Including it with
     neighbour mask nb sets ge3 |= ge2 & nb, ge2 |= ge1 & nb and
     ge1 |= nb.  Excluding it moves on to p + 1 in the same call, so
-    ``_dfs`` runs once per include branch.  With positions below p
+    ``_dfs`` runs once per include branch.  The tables rank, nb, fin,
+    undecided and prefix depend only on the graph, so all searches of
+    P(n,k) share one build (``_search_tables``).  With positions below p
     decided, a branch is cut when
 
     * a vertex of fin[p], whose closed neighbourhood lies below p, lacks
@@ -126,8 +149,9 @@ class _ExactSearch:
       (counts only grow; an undecided vertex is judged as a member, its
       best case);
     * more vertices lack a dominator they need than the picks left can
-      reach, at most ``cover`` each;
-    * fewer positions remain than picks left;
+      reach, at most ``cover`` each (checked once per pick: S and its
+      counts hold until the next one);
+    * fewer positions remain than picks left (the position loop's bound);
     * the decided outer ranks already rank S after ``best``, the
       smallest valid m-set found so far (see ``smallest``).
 
@@ -160,27 +184,13 @@ class _ExactSearch:
     def __init__(self, g: PetersenGraph, kind: DominationKind):
         self.order = 2 * g.n
         self.full = (1 << self.order) - 1
-        # kind.accepts on masks: a vertex passes when it is in ge1 and not
-        # in ge3 & cap, or when it is in S & exempt
-        self.exempt = self.full if kind.accepts(0, 1) else 0
-        self.cap = 0 if kind.accepts(3, 0) else self.full
+        # kind.accepts on masks (see domination._exempt_cap)
+        self.exempt, self.cap = _exempt_cap(kind, self.full)
         # one pick satisfies at most this many vertices still lacking a
         # dominator (3 neighbors, plus itself unless members also need one)
         self.cover = 3 if kind.covers_members else 4
-
-        # position p decides rank[p]: u_i at 2i, v_i at 2i + 1
-        self.rank = [p // 2 + g.n * (p & 1) for p in range(self.order)]
-        at = [*range(0, self.order, 2), *range(1, self.order, 2)]  # rank -> position
-        rows = g.neighbor_table().tolist()
-        self.nb = [sum(1 << w for w in rows[r]) for r in self.rank]
-        self.fin = [0] * (self.order + 1)
-        for r, row in enumerate(rows):
-            self.fin[max(at[r], *(at[w] for w in row)) + 1] |= 1 << r
-        # undecided[p]: the ranks decided at positions p and later
-        self.undecided = [self.full] * (self.order + 1)
-        for p in range(self.order):
-            self.fin[p + 1] |= self.fin[p]
-            self.undecided[p + 1] = self.undecided[p] ^ 1 << self.rank[p]
+        self.rank, self.nb, self.fin, self.undecided, self.prefix = map(
+            list, _search_tables(g.n, g.k))
 
     def smallest(self, m: int) -> VertexSet | None:
         """The valid m-set with the smallest sorted rank list, or None.
@@ -200,27 +210,27 @@ class _ExactSearch:
     def _dfs(self, p: int, left: int, S: int, ge1: int, ge2: int, ge3: int, per: int) -> None:
         # positions below p are decided; left more members are to be picked;
         # per is the period of the decided outer prefix (see the necklace cut)
-        best = self.best
+        best, exempt = self.best, self.exempt
         if not left:
-            if (self.full & ~ge1 | ge3 & self.cap) & ~(S & self.exempt):
+            if (self.full & ~ge1 | ge3 & self.cap) & ~(S & exempt):
                 return
             # S ranks first when the lowest rank in S ^ best is in S
             diff = S ^ best
             if not best & diff & -diff:
                 self.best = S
             return
-        while True:
+        # S and ge1 hold until the next pick; past order - left, too few positions remain
+        if (self.full ^ (ge1 | S & exempt)).bit_count() > self.cover * left:
+            return
+        over = ge3 & self.cap
+        fin, undecided, prefix = self.fin, self.undecided, self.prefix
+        for p in range(p, self.order - left + 1):
             if best:
-                # the outer ranks decided so far: u_0 .. u_((p - 1) // 2)
-                diff = (S ^ best) & (1 << (p + 1) // 2) - 1
+                diff = (S ^ best) & prefix[p]
                 if best & diff & -diff:
                     return
             # members, and ranks decided from p on at best, may be exempt
-            maybe = (S | self.undecided[p]) & self.exempt
-            if (self.fin[p] & ~ge1 | ge3 & self.cap) & ~maybe:
-                return
-            need = self.full ^ (ge1 | S & self.exempt)
-            if need.bit_count() > self.cover * left or left > self.order - p:
+            if (fin[p] & ~ge1 | over) & ~((S | undecided[p]) & exempt):
                 return
             # u_i, at p = 2i, may join S only when u_(i - per) is in S
             if p & 1 or S >> p // 2 - per & 1:
@@ -230,7 +240,6 @@ class _ExactSearch:
                 best = self.best
                 if not p & 1:  # and leaving it out makes the prefix its own period
                     per = p // 2 + 1
-            p += 1
 
 
 def brute_force_min(
@@ -238,18 +247,17 @@ def brute_force_min(
 ) -> SolveResult:
     """Exact minimum by cardinality-ordered exhaustive search.
 
-    Limited to 2n <= 26 vertices.  Each size is one branch-and-bound
-    search, ``_ExactSearch.smallest``, so the first feasible size gives
-    the lexicographically smallest witness.  When ``budget`` is given,
-    only sets of at most that cardinality are searched and
-    InfeasibleError is raised if none is valid.
+    Limited to 2n <= 44 vertices for k = 2 and 2n <= 26 otherwise.  Each
+    size is one branch-and-bound search, ``_ExactSearch.smallest``, so the
+    first feasible size gives the lexicographically smallest witness.
+    When ``budget`` is given, only sets of at most that cardinality are
+    searched and InfeasibleError is raised if none is valid.
     """
     kind = DominationKind.require(kind, "brute_force_min")
     order = 2 * g.n
-    if order > BRUTE_FORCE_VERTEX_LIMIT:
-        raise SizeLimitError(
-            f"brute force requires 2n <= {BRUTE_FORCE_VERTEX_LIMIT}, got 2n={order}"
-        )
+    limit = 44 if g.k == 2 else 26  # for k = 2, past each kind's base range 5..N+p
+    if order > limit:
+        raise SizeLimitError(f"brute force requires 2n <= {limit}, got 2n={order}")
     if budget is not None:
         budget = require_int("budget", budget, 0)
     search = _ExactSearch(g, kind)

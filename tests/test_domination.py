@@ -18,6 +18,7 @@ from petdom import (
     DominationKind,
     ParameterError,
     Ring,
+    SizeLimitError,
     Vertex,
     VertexSet,
     blocks_by_count,
@@ -32,7 +33,7 @@ from petdom import (
 from petdom.constructions import ConstructionSource, build_construction
 from petdom.domination import counts, form_is_valid
 from petdom.formulas import BY_KIND
-from petdom.graph import Block, ColumnForm
+from petdom.graph import Block, ColumnForm, _mask
 
 K = DominationKind
 
@@ -182,17 +183,47 @@ class TestIsValid:
         ]
 
     @given(
-        n=st.integers(5, 10),
-        bits=st.lists(st.booleans(), min_size=20, max_size=20),
+        n=st.integers(5, 16),
+        bits=st.lists(st.booleans(), min_size=32, max_size=32),
         kind=st.sampled_from(list(K)),
     )
     def test_matches_recount_oracle(self, n, bits, kind):
-        g, S = random_subset(n, bits)
-        report = is_valid(g, S, kind)
-        expected = recount_violations(g, S, kind)
-        got = [(w.vertex.name, w.count, w.bound.value) for w in report.violations]
-        assert got == expected
-        assert report.valid == (not expected)
+        _, S = random_subset(n, bits)
+        for k in range(1, (n + 1) // 2):  # every 1 <= k < n/2
+            g = build_petersen(n, k)
+            report = is_valid(g, S, kind)
+            expected = recount_violations(g, S, kind)
+            got = [(w.vertex.name, w.count, w.bound.value) for w in report.violations]
+            assert got == expected, k
+            assert report.valid == (not expected), k
+
+    @pytest.mark.parametrize("k,density", [(1, 0.2), (2, 0.5), (12_345, 0.7), (49_999, 0.9)])
+    def test_matches_count_kernel_at_large_n(self, k, density):
+        # at n = 10^5, the masks against counts + accepts on the membership
+        # arrays: the same violators by rank, in order, with their counts
+        n = 10 ** 5
+        g = build_petersen(n, k)
+        outer, inner = (np.random.default_rng(k).random((2, n)) < density).astype(np.uint8)
+        S = VertexSet(_mask(np.flatnonzero(outer)), _mask(np.flatnonzero(inner)))
+        member, count = np.concatenate((outer, inner)), np.concatenate(counts(k, outer, inner))
+        for kind in K:
+            bad = np.flatnonzero(~kind.accepts(count, member))
+            report = is_valid(g, S, kind)
+            assert [g.rank(w.vertex) for w in report.violations] == bad.tolist(), kind
+            assert [w.count for w in report.violations] == count[bad].tolist(), kind
+            assert all((w.count < 1) == (w.bound is Bound.TOO_FEW) for w in report.violations)
+            assert report.valid == (bad.size == 0)
+
+    def test_rejects_inner_index_outside_n(self):
+        g = build_petersen(7, 2)
+        S = VertexSet(1, 1 << 3 | 1 << 7)  # u0, v3 and v7
+        with pytest.raises(ParameterError, match=r"^vertex v7 has index outside \[0, 7\)$"):
+            is_valid(g, S, K.ONE_TWO)
+
+    def test_refuses_more_than_2_23_columns(self):
+        g = build_petersen(2 ** 23 + 1, 2)
+        with pytest.raises(SizeLimitError, match=r"at most 2\^23 = 8388608 columns, got 8388609"):
+            is_valid(g, VertexSet(), K.PLAIN)
 
     @given(
         n=st.integers(5, 24),

@@ -28,6 +28,7 @@ from petdom import (
     pair_profile,
 )
 from petdom.domination import counts
+from petdom.graph import PetersenGraph
 
 K = DominationKind
 
@@ -48,8 +49,10 @@ class TestBruteForce:
         assert result.method is SolveMethod.BRUTE_FORCE
 
     def test_size_limit(self):
-        with pytest.raises(SizeLimitError, match="2n <= 26"):
-            brute_force_min(build_petersen(14, 2), K.ONE_TWO)
+        with pytest.raises(SizeLimitError, match="2n <= 44, got 2n=46"):
+            brute_force_min(build_petersen(23, 2), K.ONE_TWO)
+        with pytest.raises(SizeLimitError, match="2n <= 26, got 2n=28"):
+            brute_force_min(build_petersen(14, 3), K.ONE_TWO)
 
     def test_budget_infeasible(self):
         g = build_petersen(6, 2)
@@ -169,6 +172,21 @@ class TestExactSearch:
                 sum(1 << r for r in rank[p:]) for p in range(2 * n + 1)
             ], k
 
+    def test_tables_built_once_per_graph(self, monkeypatch):
+        # the kind-independent tables are shared per (n, k): from an empty
+        # cache, four kinds with their budget calls read the neighbour
+        # table once (eight times when each search built its own)
+        reads = []
+        table = PetersenGraph.neighbor_table
+        monkeypatch.setattr(PetersenGraph, "neighbor_table", lambda g: reads.append(g) or table(g))
+        solver._search_tables.cache_clear()
+        g = build_petersen(11, 3)
+        for kind in K:
+            minimum = brute_force_min(g, kind).minimum
+            with pytest.raises(InfeasibleError):
+                brute_force_min(g, kind, budget=minimum - 1)
+        assert reads == [g]
+
     def test_outer_ring_is_valid_of_every_kind(self):
         # why the search starts with u_0 in S: a valid set with no outer
         # vertex is the inner ring, at m = n, where the outer ring (holding
@@ -249,7 +267,6 @@ class TestExactSearch:
 
         monkeypatch.setattr(solver._ExactSearch, "_dfs", counting)
         N, p, _ = transfer._chain(kind).cycle
-        monkeypatch.setattr(solver, "BRUTE_FORCE_VERTEX_LIMIT", 2 * (N + p))
         minima = dp_minima(5, N + p, kind)
         for n, minimum in zip(range(5, N + p + 1), minima, strict=True):
             result = brute_force_min(build_petersen(n, 2), kind)
