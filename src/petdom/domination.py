@@ -12,7 +12,9 @@ Every layer states them through ``DominationKind.accepts(count, member)``
 rotations give each vertex's neighbours in S, and states ``accepts`` on
 masks in ``_exempt_cap``, as the brute force does; ``form_is_valid`` and
 the proof artifacts count with the kernel ``counts(k, outer, inner)`` on
-membership arrays; the transfer DP keeps its own running counts.
+membership arrays; the transfer DP states it once per kind, in
+``transfer._Chain.__init__``, on the two counts each column finalizes
+for every interface and choice.
 
 ``is_valid`` reports every offending vertex (never just the first), so
 tests can assert exact violation sets.  Nothing is cached.

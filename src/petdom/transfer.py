@@ -39,16 +39,20 @@ commitments made so far, so the returned witness is the
 lexicographically smallest minimum set, the same tie-break the
 brute-force solver uses.  The outer bits are fixed first with the inner
 choices free (phase 1), then the inner bits with the outer ones frozen
-(phase 2).  The walk only steps forward.  Its table F[t, r] is the
-cheapest committed prefix from start interface r to interface t, and
-one gather per column steps it through all four choices at once: the
-interface t leaving column j fixes its own choice, a = bit 1 of t and
-b = bit 5.  So each option of a column is a set of targets (phase 1
-splits them on bit 1; phase 2 fixes bit 1 to u_j and splits on bit 5),
-and one sum of the gathered table and the suffix table of the columns
-after j (cost to finish from each target back to each start interface)
-gives both options' best closed totals.  The gathered table on the
-chosen option's targets is the next forward table.
+(phase 2).  The walk only steps forward, over live entries (r, s, paid):
+r is a start interface, named by its column of the suffix tables, s the
+interface entering column j and paid the int cost of the committed
+prefix from r to s.  Column j tries the option with its bit set first:
+each entry and each choice c of the option give t = succ[c][s] and q =
+paid + cost[c][s], and (r, t) is kept with q when q plus T[t, r], the
+cost of the columns after j from t back to r (below), is the minimum.
+If nothing is kept, the bit stays unset and the other option's entries
+are kept; the greedy invariant, that the commitments so far extend to a
+closed tour of minimum cost, guarantees that one of the two keeps
+something.  Phase 1's options are the choices {1, 3} (u_j in S) and
+{0, 2}, phase 2's {u_j | 2} (v_j in S) and {u_j}.  Two paths kept to the
+same (r, t) have paid the same, the minimum less T[t, r], so an entry is
+keyed by (r, t).
 
 Periodic suffix tables.  Every backward table is a suffix table T_L:
 the cost of the last L columns from each entering interface to each
@@ -63,8 +67,8 @@ targets and no forced choices T_L is M^L, the L-th min-plus power of the
 64x64 one-column matrix M (the four choices merged), whatever n is: one
 chain per kind, built once on first use, stores at most 24 tables.
 Greedy phase 1 reads these tables; phase 2 builds its own with one
-target per live start interface (below).  These are the only backward
-steps: the walks step no column backward.
+target per live start interface (below).  These are the only column
+steps on tables: the walks step their live entries one at a time.
 
 Closed tours.  The minimum for n is the smallest diagonal entry of M^n,
 and the start interfaces of the walk below are the rows that attain it.
@@ -72,48 +76,50 @@ The chain reads both off its N + p stored tables once, in one pass; for
 n >= N they are those of L = N + (n - N) mod p, the minimum plus
 d * floor((n - N) / p), so no caller does array work per n.
 
-Live start interfaces.  Each column of the forward table is one start
-interface of the closed tour.  A column whose best closed total under
-the commitments made so far exceeds the minimum is dropped: a further
-commitment only removes tours, so its total can never fall back to the
-minimum, and the test "some start attains the minimum" reads the same
-without it.  In practice one to three are left after a few columns, so
-phase 2's suffix tables have one column per start live when it starts,
-not 64.
+Live entries.  An entry whose best closed tour under the commitments
+made so far costs more than the minimum lies on no minimum tour, and
+every decision only asks whether something attains the minimum, so the
+walk drops it: a further commitment only removes tours, so its total
+never falls back.  Each column costs a few Python operations per live
+entry, and a mean of about two are live, against the 64 x k tables a
+walk over every interface would step.  The start interfaces still live
+after phase 1 are one to four, so phase 2's suffix tables have one
+column per start, not 64.
 
 Periodic witness reconstruction.  A greedy walk is a deterministic
-process whose state entering column j is the live starts and the forward
-table less its minimum (the minimum is carried as an int, base).  Its
-step at column j reads only that state, the column's options and the
-suffix table of columns j+1..n-1, and it is unchanged when the suffix
-table moves by a constant: by the greedy invariant the best total equals
-the minimum, so the target minimum - base - offset moves with it.  Where
-options and suffix tables repeat with period P, a state that repeats
-(same starts and forward table at the same phase mod P, found with a
-dict) therefore repeats every q columns from there on: the walk repeats
-that stretch's bits, adds its cost to base per period, and jumps ahead,
-stepping again only near the end.  Phase 1's options are the same at
-every column, and its state repeats within about 20 columns.  It reads
-only its live starts' columns of M^L, and those repeat from some L_r <= N
-on: M^(L+p)[:, rows] = M^L[:, rows] + d.  Restricting columns commutes
-with M (x) ., so once this holds at one L it holds at every longer one,
-and fewer columns repeat no later.  So the chain keeps one length per
-column t, since[t] <= N, from which column t repeats: N less the number
-of L < N at which it repeats a period later.  L_r is the largest since[r]
-over the rows.  Phase 1 looks for a repeat while its start rows' columns
-repeat, and skips periods up to column n - L_r of the starts still live
-at the repeat, not only n - N (one-two-total: L_r = 9 there, against
-10-18 for the start rows and N = 18).  The outer bits it returns are a
-prefix, a periodic stretch and a tail, so phase 2's options repeat over
-that stretch and its walk skips periods the same way; its columns before
-the stretch are keyed by their index alone, as ``_suffixes`` keys
-lengths outside its own.  Each phase runs a number of column steps
-independent of n; only the witness, whose bits each walk ORs straight
-into one of ``VertexSet``'s two int masks, and its validation are O(n).
+process whose state entering column j is its live entries, with paid
+less its minimum (the minimum itself is carried in paid).  Its step at
+column j reads only that state, the column's options and the suffix
+table of columns j+1..n-1 at the live starts' columns, and it is
+unchanged when those paid or that table move by a constant: by the
+greedy invariant the best total equals the minimum, so the kept entries
+move with it.  Where options and suffix tables repeat with period P, a
+state that repeats (the same entries less their minimum at the same
+phase mod P, found with a dict) therefore repeats every q columns from
+there on: the walk repeats that stretch's bits, adds its rise in paid
+per period, and jumps ahead, stepping again only near the end.  Phase
+1's options are the same at every column, and its state repeats within
+about 15 columns.  It reads only its live starts' columns of M^L, and
+those repeat from some L_r <= N on: M^(L+p)[:, rows] = M^L[:, rows] + d.
+Restricting columns commutes with M (x) ., so once this holds at one L it
+holds at every longer one, and fewer columns repeat no later.  So the
+chain keeps one length per column t, since[t] <= N, from which column t
+repeats: N less the number of L < N at which it repeats a period later.
+L_r is the largest since[r] over the rows.  Phase 1 looks for a repeat
+while its start rows' columns repeat, and skips periods up to column
+n - L_r of the starts still live at the repeat, not only n - N
+(one-two-total: L_r = 9 there, against 10-18 for the start rows and
+N = 18).  The outer bits it returns are a prefix, a periodic stretch and
+a tail, so phase 2's options repeat over that stretch and its walk skips
+periods the same way; its columns before the stretch are keyed by their
+index alone, as ``_suffixes`` keys lengths outside its own.  Each phase
+steps a number of columns independent of n; only the witness, whose bits
+each walk ORs straight into one of ``VertexSet``'s two int masks, and
+its validation are O(n).
 
 Size bound.  Table entries are float32 but only ever hold costs of a
 bounded number of columns (all n only when n is too short to show a
-period); offsets, bases and minima are Python ints, so the minimum, a
+period); offsets, paid costs and minima are Python ints, so the minimum, a
 stored closed-tour int plus d per period, is exact for every n.  Memory
 grows with n: ``dp_min``'s witness masks and validation are O(n) and
 ``dp_minima`` returns one int per n.  Both refuse to materialise more
@@ -123,7 +129,7 @@ allocating anything.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, NamedTuple, TypeVar
+from typing import Callable, Hashable, TypeVar
 
 import numpy as np
 
@@ -137,24 +143,13 @@ __all__ = ["dp_min", "dp_minima"]
 _N_STATES = 64
 _INF = np.float32(np.inf)
 _ALL_CHOICES = np.arange(4)  # c = a | b << 1 for (a, b) = (u_j in S, v_j in S)
-_TARGET = np.arange(_N_STATES)
-_A, _B = (_TARGET >> 1) & 1, _TARGET >> 5  # the choice (a, b) reaching each t
-
-
-def _targets(*sets: np.ndarray) -> np.ndarray:
-    """Each set of interfaces as a min-plus column: 0 on it, INF off it."""
-    return np.where(np.stack(sets), 0.0, _INF).astype(np.float32)[..., None]
-
-
-_OUTER = _targets(_A == 1, _A == 0)  # targets with u_j in S, and without
-# [u_j]: targets with v_j in S, and without; a min-plus sum of sets is
-# their intersection
-_INNER = _OUTER[::-1, None] + _targets(_B == 1, _B == 0)
 _FIXED_A = np.array([[0, 2], [1, 3]])  # [u_j]: the choices with a = u_j
 _NO_PERIOD = (0, 0, 1)  # a (lo, hi, P) period that holds for no column
 
 _State = TypeVar("_State")
 _Suffix = Callable[[int], tuple[np.ndarray, int]]
+_Moves = list[list[tuple[int, int]]]  # [s]: (t, cost) of each allowed choice
+_Entries = dict[tuple[int, int], int]  # a walk's live entries, (r, s): paid
 
 
 def _until_repeat(
@@ -180,26 +175,35 @@ class _Chain:
     """Transition tables of one kind and its free suffix tables M^L.
 
     succ[c, s] is the successor interface of s under choice c and
-    cost[c, s, 0] its cost a + b, or INF where the kind refuses it;
-    pre[i, t] is the state s that t's own choice (a, b) = (bit 1, bit 5)
-    takes to t, one of four numbered by the bits i = u2 | v4 << 1 that t
-    drops, and pre_cost[i, t, 0] its cost.  Built whole: power(L) =
-    (table, offset) with M^L = table + offset, cycle = (N, p, d),
-    tours[L] = (minimum, rows) for L < N + p, each minimum finite since
-    every kind accepts the whole outer ring at every length, and
-    since[t] <= N, the earliest length from which column t of M^(L+p) is
-    column t of M^L + d (see above).
+    cost[c, s, 0] its cost a + b, or INF where the kind refuses it.  The
+    walks read them as Python lists built here: each of outer and
+    inner[u] is a pair of moves (the bit set, the bit unset), moves[s]
+    listing (succ[c, s], a + b) for each choice c of the option that the
+    kind allows from s; outer's options are u_j in S or not, inner[u]'s
+    v_j in S or not with u_j = u.  Built whole: power(L) = (table,
+    offset) with M^L = table + offset, cycle = (N, p, d), tours[L] =
+    (minimum, rows) for L < N + p, each minimum finite since every kind
+    accepts the whole outer ring at every length, and since[t] <= N, the
+    earliest length from which column t of M^(L+p) is column t of M^L + d
+    (see above).
     """
 
     def __init__(self, kind: DominationKind) -> None:
-        u2, u1, v4, v3, v2, v1 = (_TARGET >> np.arange(6)[:, None]) & 1  # bits of s
+        u2, u1, v4, v3, v2, v1 = (np.arange(_N_STATES) >> np.arange(6)[:, None]) & 1
         a, b = _ALL_CHOICES[:, None] & 1, _ALL_CHOICES[:, None] >> 1
         self.succ = u1 | a << 1 | v3 << 2 | v2 << 3 | v1 << 4 | b << 5
         ok = kind.accepts(u2 + a + v1, u1) & kind.accepts(v4 + b + u2, v2)
         self.cost = np.where(ok, a + b, _INF).astype(np.float32)[..., None]
-        i = np.arange(4)[:, None]  # u2 | v4 << 1 of t's predecessors
-        self.pre = i & 1 | (_TARGET & 1) << 1 | (i >> 1) << 2 | (_TARGET & 0b11100) << 1
-        self.pre_cost = self.cost[_A | _B << 1, self.pre]
+        succ, price = self.succ.tolist(), np.where(ok, a + b, -1).tolist()
+
+        def moves(*choices: int) -> _Moves:
+            return [
+                [(succ[c][s], price[c][s]) for c in choices if price[c][s] >= 0]
+                for s in range(_N_STATES)
+            ]
+
+        self.outer = moves(1, 3), moves(0, 2)
+        self.inner = [(moves(u | 2), moves(u)) for u in (0, 1)]
         identity = np.full((_N_STATES, _N_STATES), _INF, dtype=np.float32)
         np.fill_diagonal(identity, 0.0)
         self.power, self.cycle = _suffixes(
@@ -213,18 +217,18 @@ class _Chain:
         diagonals = np.diagonal(stored, axis1=1, axis2=2)
         lows = diagonals.min(axis=1, keepdims=True)
         self.tours = [
-            (int(low), live.nonzero()[0])
+            (int(low), live.nonzero()[0].tolist())
             for low, live in zip(lows.ravel().tolist(), diagonals == lows)
         ]
 
-    def closed(self, n: int) -> tuple[int, np.ndarray]:
+    def closed(self, n: int) -> tuple[int, list[int]]:
         """The minimum of n columns and the start interfaces attaining it."""
         N, p, d = self.cycle
         periods, rest = divmod(n - N, p) if n >= N else (0, n - N)
         low, rows = self.tours[N + rest]
         return low + d * periods, rows
 
-    def cycle_of(self, rows: np.ndarray) -> tuple[int, int, int]:
+    def cycle_of(self, rows: list[int]) -> tuple[int, int, int]:
         """The cycle (L_r, p, d) of the columns rows of M^L: L_r <= N is the
         earliest length from which M^(L+p)[:, rows] = M^L[:, rows] + d."""
         _, p, d = self.cycle
@@ -240,11 +244,10 @@ def _chain(kind: DominationKind) -> _Chain:
     return _CHAINS[kind]
 
 
-def _step(table: np.ndarray, index: np.ndarray, cost: np.ndarray) -> np.ndarray:
-    """One min-plus column: T'[s, i] = min over c of T[index[c, s], i] +
-    cost[c, s, 0].  Backward (suffix tables) it takes succ and cost at the
-    allowed choices, forward (walks) pre and pre_cost."""
-    return np.minimum.reduce(table.take(index, axis=0) + cost, axis=0)
+def _step(table: np.ndarray, succ: np.ndarray, cost: np.ndarray) -> np.ndarray:
+    """One min-plus column back: T'[s, i] = min over c of T[succ[c, s], i]
+    + cost[c, s, 0], for succ and cost at the allowed choices c."""
+    return np.minimum.reduce(table.take(succ, axis=0) + cost, axis=0)
 
 
 def _suffixes(
@@ -299,87 +302,83 @@ def _suffixes(
     return suffix, (start, period, d)
 
 
-class _Walk(NamedTuple):
-    """A greedy walk entering a column: forward[t, r] + base is the
-    cheapest committed prefix from the start interface of suffix table
-    column cols[r] to interface t, with forward's minimum 0."""
-
-    forward: np.ndarray
-    cols: np.ndarray
-    base: int
-
-
 def _greedy_bits(
-    m: _Chain,
     minimum: int,
-    cols: np.ndarray,
-    options: Callable[[int], np.ndarray],
+    entries: _Entries,
+    options: Callable[[int], tuple[_Moves, _Moves]],
     n: int,
     suffix: _Suffix,
-    cycle: Callable[[np.ndarray], tuple[int, int, int] | None],
+    cycle: Callable[[list[int]], tuple[int, int, int] | None],
     lo: int,
-) -> tuple[np.ndarray, np.ndarray, tuple[int, int, int]]:
+) -> tuple[int, list[int], tuple[int, int, int]]:
     """Fix one membership bit per column, left to right: set it exactly
     when some closed tour of cost minimum extends the commitments so far.
 
-    options(j) holds two sets of the interfaces leaving column j, as
-    min-plus columns: those with the bit set and those with it unset.
-    suffix serves their suffix tables as ``_suffixes`` returns them,
-    T_0's columns cols being the live start interfaces, and cycle(cols)
-    is the cycle of those columns; from column lo on, options repeat
-    wherever the tables do, and a repeated walk state there is skipped
-    ahead by whole periods, up to where its own live columns repeat.
-    Returns the bits as an int, bit j for column j, the columns of the
-    start interfaces still live after the last column and (a, b, q): bit
-    x equals bit x + q whenever a <= x and x + q < b.
+    entries are the live entries entering column 0, (r, s): paid with r a
+    column of the suffix tables, which suffix serves as ``_suffixes``
+    returns them, and options(j) is column j's pair of moves, the bit set
+    and the bit unset.  cycle(rows) is the cycle of the suffix tables'
+    columns rows; from column lo on, options repeat wherever the tables
+    do, and a repeated walk state there is skipped ahead by whole
+    periods, up to where its own live columns repeat.  Returns the bits
+    as an int, bit j for column j, the columns still live after the last
+    column and (a, b, q): bit x equals bit x + q whenever a <= x and
+    x + q < b.
     """
     # walk states repeat where options do and suffix(n - 1 - j) is periodic
     # on the live columns, and fewer of them repeat no later
-    def bound(cols: np.ndarray) -> tuple[int, int]:
-        cyc = cycle(cols)
+    def bound(entries: _Entries) -> tuple[int, int]:
+        cyc = cycle(sorted({r for r, _ in entries}))
         return (n - cyc[0], cyc[1]) if cyc else _NO_PERIOD[1:]
 
-    hi, P = bound(cols)
+    hi, P = bound(entries)
     bits = 0
 
-    def step(walk: _Walk, j: int) -> _Walk:
+    def step(entries: _Entries, j: int) -> _Entries:
         nonlocal bits
-        yes, no = options(j)
         table, offset = suffix(n - 1 - j)
-        goal = minimum - walk.base - offset
-        forward, cols = _step(walk.forward, m.pre, m.pre_cost), walk.cols
-        totals = forward + table.take(cols, axis=1)  # best closed tour via each target
-        bit = np.minimum.reduce(totals + yes, axis=None) == goal
-        bits |= int(bit) << j
-        chosen = yes if bit else no
-        forward = forward + chosen
-        if len(cols) > 1:
-            live = np.minimum.reduce(totals + chosen) <= goal
-            forward, cols = forward[:, live], cols[live]
-        low = np.minimum.reduce(forward, axis=None)
-        return _Walk(forward - low, cols, walk.base + int(low))
+        goal = minimum - offset
+        for bit, moves in zip((1, 0), options(j)):
+            # (r, t) closes at the minimum: paid + cost + T[t, r] = goal;
+            # every path kept to it has paid the same
+            kept = {
+                (r, t): paid + cost
+                for (r, s), paid in entries.items()
+                for t, cost in moves[s]
+                if table.item(t, r) == goal - paid - cost
+            }
+            if kept:  # by the greedy invariant, at the latest when bit = 0
+                break
+        bits |= bit << j
+        return kept
 
-    # F[t, r]: prefix cost from T_0's column cols[r], which is T_0 itself;
-    # the columns before lo are keyed by their index alone
-    walks, start = _until_repeat(
-        _Walk(suffix(0)[0][:, cols], cols, 0),
-        lambda walk, j: step(walk, j) if j + P < hi else None,
-        lambda walk, j: j if j < lo else (
-            (j - lo) % P, walk.cols.tobytes(), walk.forward.tobytes()
-        ),
+    def key(entries: _Entries, j: int) -> Hashable:
+        if j < lo:  # the columns before lo are keyed by their index alone
+            return j
+        low = min(entries.values())
+        return (j - lo) % P, frozenset(
+            (r, s, paid - low) for (r, s), paid in entries.items()
+        )
+
+    walk, start = _until_repeat(
+        entries, lambda entries, j: step(entries, j) if j + P < hi else None, key
     )
-    walk, skip, j = walks[-1], _NO_PERIOD, len(walks) - 1
+    entries, skip, j = walk[-1], _NO_PERIOD, len(walk) - 1
     if start is not None:
-        hi, _ = bound(walk.cols)
+        hi, _ = bound(entries)
         q = j - start
         periods = (hi - j) // q
         bits |= _repeat(bits >> j - q, q, periods) << j  # no bit from j on is set
-        walk = walk._replace(base=walk.base + periods * (walk.base - walks[start].base))
+        rise = periods * (min(entries.values()) - min(walk[start].values()))
+        entries = {entry: paid + rise for entry, paid in entries.items()}
         skip = (j - q, j + periods * q, q)
         j += periods * q
-    for j in range(j, n):
-        walk = step(walk, j)
-    return bits, walk.cols, skip
+    tail, _ = _until_repeat(
+        entries,
+        lambda entries, i: step(entries, j + i) if j + i < n else None,
+        lambda _, i: i,
+    )
+    return bits, sorted({r for r, _ in tail[-1]}), skip
 
 
 def dp_min(n: int, kind: DominationKind) -> SolveResult:
@@ -397,7 +396,7 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
 
     # phase 1: fix outer memberships greedily, inner choices left free
     u, rows, (a, b, q) = _greedy_bits(
-        m, minimum, rows, lambda j: _OUTER, n, m.power, m.cycle_of, 0
+        minimum, {(r, r): 0 for r in rows}, lambda j: m.outer, n, m.power, m.cycle_of, 0
     )
     # phase 2: outer memberships frozen, fix inner memberships greedily
     suffix, cycle = _suffixes(
@@ -405,8 +404,8 @@ def dp_min(n: int, kind: DominationKind) -> SolveResult:
         n - 1, (n - b, n - a, q),
     )
     v, _, _ = _greedy_bits(
-        m, minimum, np.arange(len(rows)), lambda j: _INNER[u >> j & 1], n, suffix,
-        lambda cols: cycle, a,
+        minimum, {(i, r): 0 for i, r in enumerate(rows)}, lambda j: m.inner[u >> j & 1],
+        n, suffix, lambda rows: cycle, a,
     )
     return SolveResult(n, 2, kind, minimum, VertexSet(u, v), SolveMethod.TRANSFER_DP)
 

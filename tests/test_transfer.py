@@ -27,7 +27,7 @@ from petdom import (
     is_valid,
 )
 from petdom.constructions import build_construction
-from petdom.graph import ColumnForm
+from petdom.graph import ColumnForm, VertexSet
 
 K = DominationKind
 
@@ -35,6 +35,57 @@ K = DominationKind
 def column_step(table, choices, m):
     """One backward column under choices, as the suffix tables step it."""
     return transfer._step(table, m.succ[choices], m.cost[choices])
+
+
+def unpruned_walk(n, kind):
+    """dp_min's minimum and witness by a greedy walk that keeps every start
+    interface and every interface at every column and skips no period.
+
+    F[t, r] is the cheapest committed prefix from start interface r to
+    interface t and T[t, r] the cost of the columns after j from t back
+    to r, so a column's bit is set when F stepped under the set option's
+    choices plus T reaches the minimum anywhere."""
+    chain = transfer._chain(kind)
+    identity = np.full((64, 64), np.inf, dtype=np.float32)
+    np.fill_diagonal(identity, 0.0)
+
+    def suffixes(choices):
+        tables = [identity]
+        for length in range(n):
+            tables.append(column_step(tables[-1], choices(length), chain))
+        return tables
+
+    def forward(table, choices):
+        # F'[t, r] = min over s with succ[c, s] = t of F[s, r] + cost[c, s],
+        # c the choice named by bits 1 and 5 of t, if it is in choices: c
+        # reaches each of its 16 targets from the 4 interfaces that differ
+        # in the two bits t drops
+        stepped = np.full_like(table, np.inf)
+        for c in choices:
+            order = np.argsort(chain.succ[c], kind="stable")
+            targets = chain.succ[c, order].reshape(16, 4)
+            assert (targets == targets[:, :1]).all()
+            rows = (table + chain.cost[c])[order].reshape(16, 4, 64).min(axis=1)
+            stepped[targets[:, 0]] = rows
+        return stepped
+
+    def walk(options, tables):
+        table, bits = identity, 0
+        for j in range(n):
+            yes, no = options(j)
+            stepped = forward(table, yes)
+            if (stepped + tables[n - 1 - j]).min() == minimum:
+                table, bits = stepped, bits | 1 << j
+            else:
+                table = forward(table, no)
+        return bits
+
+    free = suffixes(lambda length: [0, 1, 2, 3])
+    minimum = int(np.diagonal(free[n]).min())
+    u = walk(lambda j: ([1, 3], [0, 2]), free)
+    fixed = suffixes(lambda length: [[0, 2], [1, 3]][u >> n - 1 - length & 1])
+    v = walk(lambda j: ([u >> j & 1 | 2], [u >> j & 1]), fixed)
+    return minimum, VertexSet(u, v)
 
 
 class TestDpExamples:
@@ -252,22 +303,6 @@ class TestPeriodicChain:
         table, offset = transfer._Chain(kind).power(1)
         np.testing.assert_array_equal(table + offset, expected)
 
-    @pytest.mark.parametrize("kind", list(K))
-    def test_forward_gather_matches_column_step(self, kind):
-        # one column read forward (predecessors, states x rows) or backward
-        # (successors, rows x states) is the same matrix: an interface t is
-        # left by the one choice (a, b) = (bit 1, bit 5) of t, whose backward
-        # step reaches no other target
-        chain = transfer._Chain(kind)
-        identity, _ = chain.power(0)
-        forward = transfer._step(identity, chain.pre, chain.pre_cost).T
-        t = np.arange(64)
-        for c in range(4):
-            backward = column_step(identity, np.array([c]), chain)
-            targets = ((t >> 1) & 1 | (t >> 5) << 1) == c
-            np.testing.assert_array_equal(forward[:, targets], backward[:, targets])
-            assert (backward[:, ~targets] == np.inf).all()
-
     def test_concurrent_callers_match_serial(self, monkeypatch):
         cases = [(kind, n) for kind in K for n in (5, 13)]
         expected = [dp_min(n, kind) for kind, n in cases]
@@ -327,11 +362,27 @@ class TestClosedTours:
 
 
 def counting_steps(monkeypatch) -> list[int]:
-    """Records every column step, backward (suffix tables) or forward (walks)."""
+    """Records every backward column step, as the suffix tables make them."""
     calls = []
     step = transfer._step
     monkeypatch.setattr(transfer, "_step", lambda *args: calls.append(1) or step(*args))
     return calls
+
+
+def walk_states(monkeypatch) -> list[dict]:
+    """Records the live entries leaving every column either greedy walk
+    steps: one state per walk column."""
+    states = []
+    until_repeat = transfer._until_repeat
+
+    def recording(first, step, key):
+        walk, start = until_repeat(first, step, key)
+        if isinstance(first, dict):
+            states.extend(walk[1:])
+        return walk, start
+
+    monkeypatch.setattr(transfer, "_until_repeat", recording)
+    return states
 
 
 class TestPeriodicWalk:
@@ -339,32 +390,47 @@ class TestPeriodicWalk:
     @pytest.mark.parametrize("kind", list(K))
     def test_column_steps_bounded(self, kind, monkeypatch):
         transfer._chain(kind)
-        calls = counting_steps(monkeypatch)
+        calls, states = counting_steps(monkeypatch), walk_states(monkeypatch)
         for n in (10**3, 10**4, 10**5):
             calls.clear()
+            states.clear()
             dp_min(n, kind)
-            assert len(calls) < 1000, n
+            assert len(calls) + len(states) < 1000, n
 
-    # deterministic work gates: one forward gather per walk column and no
-    # backward step in either walk, so at n = 13 the 26 walk columns and
-    # phase 2's 12 suffix steps; a walk that also stepped each option
-    # backward took 53/38/38/40 backward steps on top of its gathers
+    # deterministic work gates.  At n = 13, 38 column steps in all: phase
+    # 2's 12 backward suffix steps and the two walks' 26 columns (a walk
+    # that also stepped each option backward took 53/38/38/40 backward
+    # steps on top of its columns).  A walk column costs a few Python
+    # operations per live entry, and the walks keep these many entries
+    # over all their columns
+    ENTRIES_AT_13 = {K.PLAIN: 57, K.TOTAL: 52, K.ONE_TWO: 46, K.ONE_TWO_TOTAL: 66}
+
     @pytest.mark.parametrize(
         "kind,steps",
         [(K.PLAIN, 38), (K.TOTAL, 38), (K.ONE_TWO, 38), (K.ONE_TWO_TOTAL, 38)],
     )
     def test_column_steps_at_13(self, kind, steps, monkeypatch):
         transfer._chain(kind)
-        calls = counting_steps(monkeypatch)
+        calls, states = counting_steps(monkeypatch), walk_states(monkeypatch)
         dp_min(13, kind)
-        assert len(calls) <= steps
+        assert len(calls) <= 12
+        assert len(states) <= steps - 12
+        assert sum(map(len, states)) <= self.ENTRIES_AT_13[kind]
 
     # at n = 9996..9999, where phase 1 skips up to where its live starts'
-    # columns repeat; skipping up to its start rows' own repeat took
-    # 44/101/86/44 (total), 89/74/95/80 (one-two) and 53/101/86/53
-    # (one-two-total), and the backward-and-forward walk with phase 1
-    # skipping only from the chain's N took 77/80/119/145, 80/101/97/80,
-    # 105/92/95/98 and 80/103/97/80 backward steps on top of its gathers
+    # columns repeat, backward steps plus walk columns; skipping up to its
+    # start rows' own repeat took 44/101/86/44 (total), 89/74/95/80
+    # (one-two) and 53/101/86/53 (one-two-total), and the
+    # backward-and-forward walk with phase 1 skipping only from the chain's
+    # N took 77/80/119/145, 80/101/97/80, 105/92/95/98 and 80/103/97/80
+    # backward steps on top of its columns
+    ENTRIES_NEAR_10000 = {
+        K.PLAIN: (47, 63, 80, 158),
+        K.TOTAL: (24, 64, 42, 24),
+        K.ONE_TWO: (60, 58, 96, 84),
+        K.ONE_TWO_TOTAL: (30, 84, 48, 30),
+    }
+
     @pytest.mark.parametrize(
         "kind,steps",
         [
@@ -376,11 +442,14 @@ class TestPeriodicWalk:
     )
     def test_column_steps_near_10000(self, kind, steps, monkeypatch):
         transfer._chain(kind)
-        calls = counting_steps(monkeypatch)
-        for n, bound in zip(range(9996, 10000), steps, strict=True):
+        calls, states = counting_steps(monkeypatch), walk_states(monkeypatch)
+        entries = self.ENTRIES_NEAR_10000[kind]
+        for n, bound, most in zip(range(9996, 10000), steps, entries, strict=True):
             calls.clear()
+            states.clear()
             dp_min(n, kind)
-            assert len(calls) <= bound, n
+            assert len(calls) + len(states) <= bound, n
+            assert sum(map(len, states)) <= most, n
 
     @pytest.mark.parametrize("kind", list(K))
     def test_tracemalloc_peak_at_100000(self, kind):
@@ -487,6 +556,21 @@ class TestPeriodicWalk:
         ):
             assert [dp_min(n, kind).witness for kind in K] == expected
 
+    # the walk keeps only entries that can still close at the minimum: it
+    # returns the witness of a walk that prunes nothing
+    @pytest.mark.parametrize("kind", list(K))
+    def test_matches_unpruned_walk(self, kind):
+        for n in range(5, 61):
+            result = dp_min(n, kind)
+            assert (result.minimum, result.witness) == unpruned_walk(n, kind), n
+
+    @settings(max_examples=20)
+    @given(n=st.integers(5, 400))
+    def test_matches_unpruned_walk_at_any_n(self, n):
+        for kind in K:
+            result = dp_min(n, kind)
+            assert (result.minimum, result.witness) == unpruned_walk(n, kind), kind
+
     @staticmethod
     def repeat_bound(kind, n, rows=None):
         """The earliest L_r <= N from which the columns rows of M^L (by
@@ -528,7 +612,7 @@ class TestPeriodicWalk:
         until_repeat = transfer._until_repeat
 
         def recording(first, step, key):
-            if not isinstance(first, transfer._Walk):
+            if not isinstance(first, dict):
                 return until_repeat(first, step, key)
             walks.append(columns := [])
 
@@ -561,7 +645,7 @@ class TestPeriodicWalk:
 
         def repeats(first, step, key):
             result = until_repeat(first, step, key)
-            if isinstance(first, transfer._Walk):
+            if isinstance(first, dict):
                 walks.append(result)
             return result
 
@@ -571,7 +655,8 @@ class TestPeriodicWalk:
         (*_, repeat), start = walks[0]
         assert start is not None
         _, b, q = stretches[0]
-        hi = n - self.repeat_bound(kind, n, repeat.cols)
+        live = sorted({r for r, _ in repeat})
+        hi = n - self.repeat_bound(kind, n, live)
         assert b <= hi < b + q
 
 
