@@ -26,21 +26,25 @@ their exceptional windows sit at the highest columns:
   two middle pairs three columns apart), so the motif was extracted
   from exact-solver witnesses.
 
-Every construction is checked at emit time against its target size and
-its predicate; a failure raises ConstructionError because these sets
+Every construction is checked when it is built, on its form alone: the
+form's size against the target size, and its predicate by
+``form_is_valid``; a failure raises ConstructionError because these sets
 serve as acceptance oracles elsewhere.  ``form_is_valid`` decides each
 table entry once per repeat count below R0 = 1 + ceil(4/q) (n <= 18),
 and once for every n it serves with at least R0 motif repeats.  So each
-construction is proved for every n >= 5.
+construction is proved for every n >= 5, and a build costs the same at
+every n.  The O(n) vertex set is built on first access to
+``Construction.vertex_set``, and its size is checked again there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .domination import DominationKind, form_is_valid
-from .errors import ConstructionError, ParameterError, require_int
+from .errors import ConstructionError, ParameterError, check_columns, require_int
 from .formulas import BY_KIND
 from .graph import ColumnForm, VertexSet
 
@@ -92,16 +96,25 @@ _SOUND: dict[tuple, bool] = {}
 
 @dataclass(frozen=True)
 class Construction:
-    """A validated witness set together with the recipe that produced it."""
+    """A witness as the validated recipe that produces it: the column form,
+    whose size and validity were decided when it was built, and that size.
+    ``vertex_set`` builds the set on first access and checks its size."""
 
     n: int
     kind: DominationKind
     source: ConstructionSource
-    vertex_set: VertexSet
+    form: ColumnForm
+    size: int
 
-    @property
-    def size(self) -> int:
-        return len(self.vertex_set)
+    @cached_property
+    def vertex_set(self) -> VertexSet:
+        S = self.form.vertex_set()
+        if len(S) != self.size:
+            raise ConstructionError(
+                f"{self.kind.value} construction for n={self.n} has size {len(S)}, "
+                f"expected {self.size}"
+            )
+        return S
 
     def as_dict(self) -> dict:
         return {
@@ -113,13 +126,13 @@ class Construction:
         }
 
 
-def _checked(form: ColumnForm, kind: DominationKind, size: int) -> VertexSet:
-    """The form's set, checked against the target size and the kind, which is
-    decided once per table entry and repeat count, all from settled on as one."""
-    S = form.vertex_set()
-    if len(S) != size:
+def _checked(form: ColumnForm, kind: DominationKind, size: int) -> None:
+    """Check the form's size against the target and its validity for the
+    kind, which is decided once per table entry and repeat count, all from
+    settled on as one."""
+    if form.size != size:
         raise ConstructionError(
-            f"{kind.value} construction for n={form.n} has size {len(S)}, expected {size}"
+            f"{kind.value} construction for n={form.n} has size {form.size}, expected {size}"
         )
     key = kind, form.head, form.motif, form.tail, min(form.repeats, form.settled)
     if (sound := _SOUND.get(key)) is None:
@@ -128,12 +141,12 @@ def _checked(form: ColumnForm, kind: DominationKind, size: int) -> VertexSet:
         raise ConstructionError(
             f"{kind.value} construction for n={form.n} failed validation"
         )
-    return S
 
 
 def build_construction(n: int, kind: DominationKind) -> Construction:
-    """Validated witness construction for ONE_TWO or ONE_TWO_TOTAL; n above
-    2^23 is refused with SizeLimitError."""
+    """Validated witness construction for ONE_TWO or ONE_TWO_TOTAL, decided on
+    its form without building the set; n above 2^23 is refused with
+    SizeLimitError."""
     kind = DominationKind.require(kind, "build_construction")
     if not kind.upper_bounded:
         raise ParameterError(
@@ -141,11 +154,14 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
             f"got {kind.value}"
         )
     n = require_int("n", n, 5, caller=_CALLERS[kind])
+    check_columns(n)  # the set is built later, but n is refused now
     # the most specific entry: for n itself, else for n mod 6, else n mod 3
     entry = _FORMS.get((kind, 0, n)) or _FORMS.get((kind, 6, n % 6))
     head, motif, tail, source = entry or _FORMS[kind, 3, n % 3]
     form = ColumnForm(head, motif, (n - head[2] - tail[2]) // motif[2], tail)
-    return Construction(n, kind, source, _checked(form, kind, BY_KIND[kind](n)))
+    size = BY_KIND[kind](n)
+    _checked(form, kind, size)
+    return Construction(n, kind, source, form, size)
 
 
 def construct_one_two(n: int) -> VertexSet:

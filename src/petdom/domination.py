@@ -189,18 +189,7 @@ def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
     the windows of R0: the form is checked once, at min(r, R0) repeats.
     """
     kind = DominationKind.require(kind, "form_is_valid")
-    fields = "outer bits", "inner bits", "width"
-    parts = head, motif, tail = [
-        tuple(require_int(f"{name} {field}", x) for field, x in zip(fields, part))
-        for name, part in zip(("head", "motif", "tail"), (form.head, form.motif, form.tail))
-    ]
-    form = ColumnForm(head, motif, require_int("repeats", form.repeats), tail)
-    bad = form.motif[2] < 1 or form.repeats < 0 or form.n < 5
-    if bad or any(w < 0 or o >> w or i >> w for o, i, w in parts):
-        raise ParameterError(
-            f"form_is_valid requires motif width >= 1, widths and repeats >= 0, "
-            f"each part's bits below its width and n >= 5, got {form}"
-        )
+    form = form.require("form_is_valid", 5)
     outer, inner = form._replace(repeats=min(form.repeats, form.settled)).arrays()
     cu, cv = counts(2, outer, inner)
     return bool(kind.accepts(cu, outer).all() and kind.accepts(cv, inner).all())

@@ -262,10 +262,39 @@ class ColumnForm(NamedTuple):
         any column are ones seen at R0 (see domination.form_is_valid)."""
         return 1 + -(-4 // self.motif[2])
 
+    @property
+    def size(self) -> int:
+        """|head| + repeats * |motif| + |tail|, from the int fields' bits."""
+        (ho, hi, _), (mo, mi, _), (to, ti, _) = self.head, self.motif, self.tail
+        return (ho.bit_count() + hi.bit_count() + to.bit_count() + ti.bit_count()
+                + self.repeats * (mo.bit_count() + mi.bit_count()))
+
+    def require(self, caller: str, min_n: int = 0) -> "ColumnForm":
+        """The form with Python int fields; ParameterError unless the motif
+        width is >= 1, widths and repeats >= 0, each part's bits below its
+        width and n >= min_n (named in the message when it is not 0)."""
+        fields = "outer bits", "inner bits", "width"
+        parts = head, motif, tail = [
+            tuple(require_int(f"{name} {field}", x) for field, x in zip(fields, part))
+            for name, part in zip(("head", "motif", "tail"), (self.head, self.motif, self.tail))
+        ]
+        form = ColumnForm(head, motif, require_int("repeats", self.repeats), tail)
+        bad = motif[2] < 1 or form.repeats < 0 or form.n < min_n
+        if bad or any(w < 0 or o >> w or i >> w for o, i, w in parts):
+            least_n = f" and n >= {min_n}" if min_n else ""
+            raise ParameterError(
+                f"{caller} requires motif width >= 1, widths and repeats >= 0, "
+                f"each part's bits below its width{least_n}, got {form}"
+            )
+        return form
+
     def vertex_set(self) -> VertexSet:
-        check_columns(self.n)
-        (ho, hi, h), (mo, mi, q), (to, ti, _) = self.head, self.motif, self.tail
-        r = self.repeats
+        """The form's set; ParameterError for a malformed form (see
+        ``require``), SizeLimitError for n above 2^23."""
+        form = self.require("ColumnForm.vertex_set")
+        check_columns(form.n)
+        (ho, hi, h), (mo, mi, q), (to, ti, _) = form.head, form.motif, form.tail
+        r = form.repeats
         return VertexSet(
             ho | _repeat(mo, q, r) << h | to << h + q * r,
             hi | _repeat(mi, q, r) << h | ti << h + q * r,

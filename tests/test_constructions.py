@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,13 @@ from petdom import (
     is_valid,
 )
 from petdom.constructions import (
+    Construction,
     ConstructionSource,
     build_construction,
     construct_one_two,
     construct_one_two_total,
 )
+from petdom.formulas import BY_KIND
 from petdom.graph import ColumnForm
 from petdom import domination
 from petdom.cli import main
@@ -206,6 +209,40 @@ class TestFormTable:
         for _, head, motif, tail, repeats in constructions._SOUND:
             assert 0 <= repeats <= ColumnForm(head, motif, 0, tail).settled
         assert all(constructions._SOUND.values())
+
+
+class TestLazySet:
+    @pytest.mark.parametrize("kind", [K.ONE_TWO, K.ONE_TWO_TOTAL])
+    def test_build_at_the_column_bound_allocates_no_set(self, kind, monkeypatch):
+        # with no verdict cached, the build still decides the form at R0
+        # repeats; the set at 2^23 columns would take 2 MiB
+        monkeypatch.setattr(constructions, "_SOUND", {})
+        n = 2**23
+        tracemalloc.start()
+        try:
+            c = build_construction(n, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c.size == c.form.size == BY_KIND[kind](n)
+        assert c.form.n == n
+        assert peak < 64 * 1024
+
+    def test_size_disagreeing_with_form_is_refused_on_first_access(self):
+        c = build_construction(13, K.ONE_TWO)
+        wrong = Construction(c.n, c.kind, c.source, c.form, c.size + 1)
+        with pytest.raises(ConstructionError, match="n=13 has size 9, expected 10"):
+            wrong.vertex_set
+
+    @pytest.mark.parametrize("kind", [K.ONE_TWO, K.ONE_TWO_TOTAL])
+    def test_equality_and_hash_ignore_the_built_set(self, kind):
+        a, b = build_construction(13, kind), build_construction(13, kind)
+        assert a == b and hash(a) == hash(b)
+        a.vertex_set  # built and cached on a only
+        assert a == b and hash(a) == hash(b)
+        assert a.vertex_set is a.vertex_set
+        assert a.vertex_set == b.vertex_set
+        assert a != build_construction(14, kind)
 
 
 class TestPinned:

@@ -430,9 +430,29 @@ class TestColumnForm:
             start += w
         assert form.n == start
         assert form.vertex_set() == VertexSet.of(vertices)
+        assert form.size == len(form.vertex_set())
         assert [a.tolist() for a in form.arrays()] == [
             a.tolist() for a in VertexSet.of(vertices).arrays(start)
         ]
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            graph.ColumnForm((0, 0, 0), (0b010, 0b010, 3), -1, (0, 0, 0)),  # repeats -1
+            graph.ColumnForm((0b1, 0, 1), (0, 0, 0), 2, (0, 0, 0)),  # motif width 0
+            # bits past the motif's width: the copies would overlap and carry
+            graph.ColumnForm((0, 0, 0), (0b111, 0, 2), 3, (0, 0, 0)),
+        ],
+    )
+    def test_malformed_forms_are_refused(self, form):
+        message = (
+            "ColumnForm.vertex_set requires motif width >= 1, widths and repeats >= 0, "
+            "each part's bits below its width, got "
+        )
+        for build in (form.vertex_set, form.arrays):
+            with pytest.raises(ParameterError) as info:
+                build()
+            assert str(info.value) == message + repr(form)
 
 
 class TestRanks:

@@ -1,9 +1,12 @@
 """Layering guards: adjacency is asked of graph.py only and written there
 once, and the proof artifacts in domination.py work from the count kernel
-and ranks, not per-block sets or per-member Vertex objects."""
+and ranks, not per-block sets or per-member Vertex objects; a construction
+is built and checked on its column form, not its vertex set."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 import petdom
 
@@ -60,6 +63,19 @@ def _function(tree, name):
         if isinstance(node, ast.FunctionDef) and node.name == name
     )
     return node
+
+
+@pytest.mark.parametrize("name", ["build_construction", "_checked"])
+def test_construction_build_reads_no_vertex_set(name):
+    # a build decides size and validity on the form, at a cost that does not
+    # grow with n; the set is built on first access to Construction.vertex_set
+    func = _function(_tree("constructions.py"), name)
+    found = [
+        node.lineno
+        for node in ast.walk(func)
+        if isinstance(node, ast.Attribute) and node.attr == "vertex_set"
+    ]
+    assert found == []
 
 
 def _method(tree, cls, name):
