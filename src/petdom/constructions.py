@@ -4,7 +4,7 @@ For every n >= 5 these produce a [1,2]-dominating set of size exactly
 f_one_two(n) and a [1,2]-total dominating set of size exactly
 g_one_two_total(n).  Each is a ``ColumnForm``: a head, a motif repeated,
 and a tail.  One table of forms, ``_FORMS``, holds every recipe; both
-kinds read its stride rows, keyed by n mod 3 (the residues mod 6 pair
+kinds read its stride entries, keyed by n mod 3 (the residues mod 6 pair
 up): the middle pair {u_i, v_i} of every third column, i = 1 (mod 3),
 then a tail.
 
@@ -26,15 +26,24 @@ their exceptional windows sit at the highest columns:
   two middle pairs three columns apart), so the motif was extracted
   from exact-solver witnesses.
 
-Every construction is checked when it is built, on its form alone: the
-form's size against the target size, and its predicate by
-``form_is_valid``; a failure raises ConstructionError because these sets
-serve as acceptance oracles elsewhere.  ``form_is_valid`` decides each
-table entry once per repeat count below R0 = 1 + ceil(4/q) (n <= 18),
-and once for every n it serves with at least R0 motif repeats.  So each
-construction is proved for every n >= 5, and a build costs the same at
-every n.  The O(n) vertex set is built on first access to
-``Construction.vertex_set``, and its size is checked again there.
+``_FORMS`` is resolved once, at import, into family rows: per kind, one
+row for its special n and one for each residue of n mod 6 (the residues
+that share an entry share its row).  A row holds the entry's head, motif,
+tail and source, and what does not change with the repeat count r: the
+width |head| + |tail|, its popcount, the motif's popcount and R0 =
+1 + ceil(4/q).  The form at n thus has r = (n - width)/q repeats and size
+popcount + r * motif popcount, read in O(1) with no bit counted.
+
+Every construction is checked when it is built, on its row alone: that
+size against the target size, and its predicate by ``form_is_valid``; a
+failure raises ConstructionError because these sets serve as acceptance
+oracles elsewhere.  ``form_is_valid`` decides each row once per repeat
+count below R0 (n <= 18), and once for every n it serves with at least
+R0 repeats; the verdict is cached under (row, min(r, R0)), the row hashed
+by identity.  So each construction is proved for every n >= 5, and a
+build costs the same at every n.  The O(n) vertex set is built on first
+access to ``Construction.vertex_set``, and its size is checked again
+there.
 """
 
 from __future__ import annotations
@@ -90,11 +99,40 @@ _FORMS = {
 }
 # the caller named when build_construction refuses n
 _CALLERS = {kind: f"construct_{kind.name.lower()}" for kind in DominationKind}
-# (kind, head, motif, tail, min(repeats, settled)) -> form_is_valid at that count
-_SOUND: dict[tuple, bool] = {}
 
 
-@dataclass(frozen=True)
+class _Row:
+    """A ``_FORMS`` entry as the family of its forms, head + motif^r + tail,
+    with the widths and popcounts that do not change with r; hashed by
+    identity."""
+
+    __slots__ = "head", "motif", "tail", "source", "width", "ones", "motif_ones", "settled"
+
+    def __init__(self, head, motif, tail, source) -> None:
+        bare = ColumnForm(head, motif, 0, tail)
+        self.head, self.motif, self.tail, self.source = head, motif, tail, source
+        self.width, self.ones, self.settled = bare.n, bare.size, bare.settled
+        self.motif_ones = bare._replace(repeats=1).size - bare.size
+
+
+def _resolve(forms: dict) -> dict:
+    """Each kind of ``forms`` -> its rows: (row by special n, rows by n mod 6)."""
+    rows = {key: _Row(*entry) for key, entry in forms.items()}
+    return {
+        kind: (
+            {r: row for (k, m, r), row in rows.items() if k is kind and m == 0},
+            tuple(rows.get((kind, 6, r)) or rows[kind, 3, r % 3] for r in range(6)),
+        )
+        for kind in dict.fromkeys(key[0] for key in forms)
+    }
+
+
+_ROWS = _resolve(_FORMS)
+# (row, min(repeats, row.settled)) -> form_is_valid at that count
+_SOUND: dict[tuple[_Row, int], bool] = {}
+
+
+@dataclass(frozen=True, init=False)
 class Construction:
     """A witness as the validated recipe that produces it: the column form,
     whose size and validity were decided when it was built, and that size.
@@ -105,6 +143,11 @@ class Construction:
     source: ConstructionSource
     form: ColumnForm
     size: int
+
+    def __init__(self, n: int, kind: DominationKind, source: ConstructionSource,
+                 form: ColumnForm, size: int) -> None:
+        # one update in place of the frozen __init__'s five object.__setattr__
+        self.__dict__.update(n=n, kind=kind, source=source, form=form, size=size)
 
     @cached_property
     def vertex_set(self) -> VertexSet:
@@ -126,42 +169,42 @@ class Construction:
         }
 
 
-def _checked(form: ColumnForm, kind: DominationKind, size: int) -> None:
-    """Check the form's size against the target and its validity for the
-    kind, which is decided once per table entry and repeat count, all from
-    settled on as one."""
-    if form.size != size:
-        raise ConstructionError(
-            f"{kind.value} construction for n={form.n} has size {form.size}, expected {size}"
-        )
-    key = kind, form.head, form.motif, form.tail, min(form.repeats, form.settled)
+def _sound(row: _Row, repeats: int, kind: DominationKind) -> bool:
+    """form_is_valid of the row's form, decided once per row and repeat
+    count, all from settled on as one."""
+    key = row, min(repeats, row.settled)
     if (sound := _SOUND.get(key)) is None:
-        sound = _SOUND[key] = form_is_valid(form._replace(repeats=key[-1]), kind)
-    if not sound:
-        raise ConstructionError(
-            f"{kind.value} construction for n={form.n} failed validation"
-        )
+        form = ColumnForm(row.head, row.motif, key[1], row.tail)
+        sound = _SOUND[key] = form_is_valid(form, kind)
+    return sound
 
 
 def build_construction(n: int, kind: DominationKind) -> Construction:
-    """Validated witness construction for ONE_TWO or ONE_TWO_TOTAL, decided on
-    its form without building the set; n above 2^23 is refused with
-    SizeLimitError."""
-    kind = DominationKind.require(kind, "build_construction")
-    if not kind.upper_bounded:
+    """Validated witness construction for ONE_TWO or ONE_TWO_TOTAL, read off
+    the kind's row for n and decided on its form without building the set;
+    n above 2^23 is refused with SizeLimitError."""
+    # a non-kind may be unhashable, so it is not looked up
+    rows = _ROWS.get(kind) if isinstance(kind, DominationKind) else None
+    if rows is None:
+        kind = DominationKind.require(kind, "build_construction")
         raise ParameterError(
             f"constructions exist for one-two and one-two-total only, "
             f"got {kind.value}"
         )
     n = require_int("n", n, 5, caller=_CALLERS[kind])
     check_columns(n)  # the set is built later, but n is refused now
-    # the most specific entry: for n itself, else for n mod 6, else n mod 3
-    entry = _FORMS.get((kind, 0, n)) or _FORMS.get((kind, 6, n % 6))
-    head, motif, tail, source = entry or _FORMS[kind, 3, n % 3]
-    form = ColumnForm(head, motif, (n - head[2] - tail[2]) // motif[2], tail)
+    specials, residues = rows
+    row = specials.get(n) or residues[n % 6]
+    repeats = (n - row.width) // row.motif[2]
     size = BY_KIND[kind](n)
-    _checked(form, kind, size)
-    return Construction(n, kind, source, form, size)
+    if (got := row.ones + repeats * row.motif_ones) != size:
+        raise ConstructionError(
+            f"{kind.value} construction for n={n} has size {got}, expected {size}"
+        )
+    if not _sound(row, repeats, kind):
+        raise ConstructionError(f"{kind.value} construction for n={n} failed validation")
+    form = ColumnForm(row.head, row.motif, repeats, row.tail)
+    return Construction(n, kind, row.source, form, size)
 
 
 def construct_one_two(n: int) -> VertexSet:

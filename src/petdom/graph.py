@@ -209,9 +209,13 @@ class VertexSet:
         return iter(self.sorted())
 
     def __or__(self, other: "VertexSet") -> "VertexSet":
+        if not isinstance(other, VertexSet):
+            return NotImplemented
         return VertexSet(self.outer | other.outer, self.inner | other.inner)
 
     def __and__(self, other: "VertexSet") -> "VertexSet":
+        if not isinstance(other, VertexSet):
+            return NotImplemented
         return VertexSet(self.outer & other.outer, self.inner & other.inner)
 
     def sorted(self) -> list[Vertex]:

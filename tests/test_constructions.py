@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from petdom import (
     ConstructionError,
@@ -164,20 +166,22 @@ class TestFormTable:
     )
     def test_mutated_entry_is_refused(self, monkeypatch, key, parts, ns, message):
         entry = dict(zip(("head", "motif", "tail", "source"), constructions._FORMS[key]))
-        monkeypatch.setitem(constructions._FORMS, key, tuple({**entry, **parts}.values()))
+        forms = {**constructions._FORMS, key: tuple({**entry, **parts}.values())}
+        monkeypatch.setattr(constructions, "_ROWS", constructions._resolve(forms))
         monkeypatch.setattr(constructions, "_SOUND", {})
         for n in ns:
-            with pytest.raises(ConstructionError, match=message):
+            with pytest.raises(ConstructionError, match=f"for n={n} {message}"):
                 build_construction(n, key[0])
 
     def test_small_n_kept_per_repeat_count_and_large_n_once(self, monkeypatch):
         monkeypatch.setattr(constructions, "_SOUND", {})
-        key = K.ONE_TWO, *constructions._FORMS[K.ONE_TWO, 3, 2][:3]
+        _, residues = constructions._ROWS[K.ONE_TWO]
+        row = residues[2]  # the n = 2 (mod 3) entry, also the row of residue 5
         build_construction(8, K.ONE_TWO)  # 2 < R0 = 3 repeats: kept under 2
-        assert constructions._SOUND == {(*key, 2): True}
+        assert constructions._SOUND == {(row, 2): True}
         build_construction(9998, K.ONE_TWO)
         build_construction(11, K.ONE_TWO)  # R0 = 3 repeats: the same verdict
-        assert constructions._SOUND == {(*key, 2): True, (*key, 3): True}
+        assert constructions._SOUND == {(row, 2): True, (row, 3): True}
 
     def test_counts_calls_bounded(self, monkeypatch):
         # validating each construction on its own set would take 3,992 calls
@@ -200,15 +204,74 @@ class TestFormTable:
         for kind in (K.ONE_TWO, K.ONE_TWO_TOTAL):
             for n in range(5, 3001):
                 build_construction(n, kind)
-        entries = {
-            (key[0], head, motif, tail)
-            for key, (head, motif, tail, _) in constructions._FORMS.items()
+        rows = {
+            row
+            for specials, residues in constructions._ROWS.values()
+            for row in (*specials.values(), *residues)
         }
-        assert {key[:-1] for key in constructions._SOUND} <= entries
-        # one key per (table entry, repeat count), repeat counts 0..settled
-        for _, head, motif, tail, repeats in constructions._SOUND:
-            assert 0 <= repeats <= ColumnForm(head, motif, 0, tail).settled
+        assert len(rows) == len(constructions._FORMS)  # one row per table entry
+        assert {row for row, _ in constructions._SOUND} <= rows
+        # one key per (row, repeat count), repeat counts 0..settled
+        for row, repeats in constructions._SOUND:
+            assert 0 <= repeats <= ColumnForm(row.head, row.motif, 0, row.tail).settled
         assert all(constructions._SOUND.values())
+
+
+def _rows(kind):
+    """The kind's rows, each with the first n >= 5 that it serves."""
+    specials, residues = constructions._ROWS[kind]
+    for n, row in specials.items():
+        yield n, row
+    for c, row in enumerate(residues):
+        yield min(n for n in range(5, 17) if n % 6 == c and n not in specials), row
+
+
+class TestFamilyRows:
+    @pytest.mark.parametrize("kind", [K.ONE_TWO, K.ONE_TWO_TOTAL])
+    def test_rows_are_the_table_entries(self, kind):
+        specials, residues = constructions._ROWS[kind]
+        forms = constructions._FORMS
+        for n, row in specials.items():
+            assert (row.head, row.motif, row.tail, row.source) == forms[kind, 0, n]
+        for c, row in enumerate(residues):
+            entry = forms.get((kind, 6, c)) or forms[kind, 3, c % 3]
+            assert (row.head, row.motif, row.tail, row.source) == entry
+
+    @pytest.mark.parametrize("kind", [K.ONE_TWO, K.ONE_TWO_TOTAL])
+    def test_size_for_every_n_in_each_class(self, kind):
+        # size(n) = ones + (n - width)/q * motif_ones is linear in n, and so
+        # is the formula on each class: f(n) = 2*ceil(n/3) - [n = 1 (mod 6)]
+        # and g(n) = 2*ceil(n/3) for n >= 6 both rise by 4 per 6 columns.
+        # Equal at the class's first n and equal in slope, they agree on the
+        # whole class; a special row serves its one n.
+        specials, _ = constructions._ROWS[kind]
+        for n, row in _rows(kind):
+            (ho, hi, h), (mo, mi, q), (to, ti, t) = row.head, row.motif, row.tail
+            assert row.width == h + t
+            assert row.ones == sum(x.bit_count() for x in (ho, hi, to, ti))
+            assert row.motif_ones == mo.bit_count() + mi.bit_count()
+            repeats, rest = divmod(n - row.width, q)
+            assert rest == 0 and repeats >= 0
+            assert row.ones + repeats * row.motif_ones == BY_KIND[kind](n)
+            c = build_construction(n, kind)
+            assert c.form == ColumnForm(row.head, row.motif, repeats, row.tail)
+            assert c.source is row.source
+            if n not in specials:
+                assert 6 % q == 0 and 6 // q * row.motif_ones == 4
+                assert BY_KIND[kind](n + 6) == BY_KIND[kind](n) + 4
+
+    @settings(max_examples=200)
+    @given(n=st.integers(5, 2**23), kind=st.sampled_from([K.ONE_TWO, K.ONE_TWO_TOTAL]))
+    @example(n=5, kind=K.ONE_TWO_TOTAL)
+    @example(n=7, kind=K.ONE_TWO)
+    @example(n=2**23, kind=K.ONE_TWO)
+    def test_build_property(self, n, kind):
+        c = build_construction(n, kind)
+        assert c.form.n == n
+        assert c.size == c.form.size == BY_KIND[kind](n)
+        settled = c.form._replace(repeats=min(c.form.repeats, c.form.settled))
+        assert domination.form_is_valid(settled, kind)
+        assert "vertex_set" not in c.__dict__  # no set built
 
 
 class TestLazySet:

@@ -217,6 +217,16 @@ class TestVertexSetModel:
             for i in range(70):
                 assert (Vertex(ring, i) in A) == (Vertex(ring, i) in a)
 
+    @pytest.mark.parametrize("other", [3, "x", None, frozenset()])
+    def test_or_and_refuse_non_sets(self, other):
+        # NotImplemented from both sides, so Python raises TypeError
+        S = VertexSet(1, 0)
+        for op in (lambda a, b: a | b, lambda a, b: a & b):
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(S, other)
+            with pytest.raises(TypeError, match="unsupported operand"):
+                op(other, S)
+
     def test_names_round_trip_large(self):
         from petdom.constructions import construct_one_two_total
 

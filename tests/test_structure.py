@@ -1,7 +1,7 @@
 """Layering guards: adjacency is asked of graph.py only and written there
 once, and the proof artifacts in domination.py work from the count kernel
 and ranks, not per-block sets or per-member Vertex objects; a construction
-is built and checked on its column form, not its vertex set."""
+is built and checked on its family row, not its vertex set."""
 
 import ast
 from pathlib import Path
@@ -65,15 +65,53 @@ def _function(tree, name):
     return node
 
 
-@pytest.mark.parametrize("name", ["build_construction", "_checked"])
+def _build_path():
+    """build_construction and what it calls of constructions.py, transitively:
+    each function, and for a class its __init__ and __post_init__."""
+    tree = _tree("constructions.py")
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    path, todo = {}, ["build_construction"]
+    while todo:
+        name = todo.pop()
+        node = defs[name]
+        bodies = [node] if isinstance(node, ast.FunctionDef) else [
+            item for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__post_init__")
+        ]
+        path[name] = bodies
+        todo += {
+            call.func.id
+            for body in bodies
+            for call in ast.walk(body)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id in defs and call.func.id not in path
+        }
+    return path
+
+
+# build_construction and its helpers, as _build_path finds them
+BUILD_PATH = ["build_construction", "_sound", "Construction"]
+
+
+def test_build_path_is_listed():
+    assert sorted(_build_path()) == sorted(BUILD_PATH)
+
+
+@pytest.mark.parametrize("name", BUILD_PATH)
 def test_construction_build_reads_no_vertex_set(name):
-    # a build decides size and validity on the form, at a cost that does not
-    # grow with n; the set is built on first access to Construction.vertex_set
-    func = _function(_tree("constructions.py"), name)
+    # a build decides size and validity on the kind's family row, at a cost
+    # that does not grow with n: the popcounts are the row's, so no bit is
+    # counted and no ColumnForm.size is read, and the set is built on first
+    # access to Construction.vertex_set
     found = [
-        node.lineno
-        for node in ast.walk(func)
-        if isinstance(node, ast.Attribute) and node.attr == "vertex_set"
+        (node.attr, node.lineno)
+        for body in _build_path()[name]
+        for node in ast.walk(body)
+        if isinstance(node, ast.Attribute) and node.attr in ("vertex_set", "size", "bit_count")
     ]
     assert found == []
 
