@@ -53,7 +53,7 @@ from enum import Enum
 from functools import cached_property
 
 from .domination import DominationKind, form_is_valid
-from .errors import ConstructionError, ParameterError, check_columns, require_int
+from .errors import ConstructionError, ParameterError, check_columns, require_int, require_type
 from .formulas import BY_KIND
 from .graph import ColumnForm, VertexSet
 
@@ -186,7 +186,7 @@ def build_construction(n: int, kind: DominationKind) -> Construction:
     # a non-kind may be unhashable, so it is not looked up
     rows = _ROWS.get(kind) if isinstance(kind, DominationKind) else None
     if rows is None:
-        kind = DominationKind.require(kind, "build_construction")
+        kind = require_type(kind, DominationKind, "build_construction")
         raise ParameterError(
             f"constructions exist for one-two and one-two-total only, "
             f"got {kind.value}"

@@ -8,13 +8,16 @@ Four predicates over a vertex subset S, stated via c(v) = |N(v) & S|:
 * ONE_TWO_TOTAL:  1 <= c(v) <= 2   for every v.
 
 Every layer states them through ``DominationKind.accepts(count, member)``
-(on ints or numpy arrays).  ``is_valid`` reads S's bitmasks, whose ring
-rotations give each vertex's neighbours in S, and states ``accepts`` on
-masks in ``_exempt_cap``, as the brute force does; ``form_is_valid`` and
-the proof artifacts count with the kernel ``counts(k, outer, inner)`` on
-membership arrays; the transfer DP states it once per kind, in
-``transfer._Chain.__init__``, on the two counts each column finalizes
-for every interface and choice.
+(on ints or numpy arrays).  This module reads S's two bitmasks in
+``_members`` alone, which checks S first, and c in ``_degrees``: rotated
+by the amounts ``PetersenGraph._adjacency`` gives column 0, each ring's
+neighbour masks say which of a vertex's three neighbours are in S, and
+their or, bitwise majority and and are ge1, ge2 and ge3, the vertices
+with at least 1, 2 or 3 neighbours in S.
+``is_valid`` states ``accepts`` on those masks in ``_EXEMPT_CAP``, as the
+brute force does, and ``form_is_valid`` is its verdict on a form's set;
+the transfer DP states it once per kind, in ``transfer._Chain.__init__``,
+on the two counts each column finalizes for every interface and choice.
 
 ``is_valid`` reports every offending vertex (never just the first), so
 tests can assert exact violation sets.  Nothing is cached.
@@ -23,8 +26,11 @@ On top of the validators sit the proof artifacts for P(n,2): the
 bucketing of blocks by |block & S|, the classification of blocks
 containing exactly one member of S, and the path/cycle census of the
 subgraph induced by a [1,2]-total dominating set together with its
-counting inequalities.  These get c from ``counts`` too, walk G[S] by rank
-and return blocks and components of ints, whose ``vertices`` come on demand.
+counting inequalities.  These read the same masks: a block's member count
+is a column sum of S's masks and their rotations, unpacked at once, and a
+member of G[S] has induced degree 0 or 3 outside ge1 or inside ge3, and
+ends a path outside ge2.  They walk G[S] by rank and return blocks and
+components of ints, whose ``vertices`` come on demand.
 """
 
 from __future__ import annotations
@@ -35,15 +41,14 @@ from enum import Enum
 import numpy as np
 
 from .errors import (CensusError, ClassificationImpossibleError, ParameterError,
-                     check_columns, require_int)
-from .graph import Block, ColumnForm, PetersenGraph, Ring, Vertex, VertexSet, _indices
+                     check_columns, require_int, require_type)
+from .graph import Block, ColumnForm, PetersenGraph, Ring, Vertex, VertexSet, _indices, _unpack
 
 __all__ = [
     "DominationKind",
     "Bound",
     "Violation",
     "ValidationReport",
-    "counts",
     "is_valid",
     "form_is_valid",
     "blocks_by_count",
@@ -90,13 +95,6 @@ class DominationKind(Enum):
         return ok
 
     @classmethod
-    def require(cls, value, caller: str) -> "DominationKind":
-        """``value`` if it is a DominationKind, else ParameterError naming caller."""
-        if not isinstance(value, cls):
-            raise ParameterError(f"{caller} requires a DominationKind, got {value!r}")
-        return value
-
-    @classmethod
     def from_text(cls, text: str) -> "DominationKind":
         for kind in cls:
             if kind.value == text:
@@ -131,50 +129,68 @@ class ValidationReport:
     violations: tuple[Violation, ...]
 
 
-def counts(k: int, outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|N(u_i) & S| and |N(v_i) & S| for all columns i of P(n,k), given
-    the length-n 0/1 membership arrays of S on each ring."""
-
-    # each ring once, padded with its wrapped neighbours, and sliced: not
-    # np.roll, whose per-call overhead dominates at small n
-    po = np.concatenate((outer[-1:], outer, outer[:1]))
-    pi = np.concatenate((inner[-k:], inner, inner[:k]))
-    return po[:-2] + po[2:] + inner, pi[:-2 * k] + pi[2 * k:] + outer
+_VALID = ValidationReport(True, ())  # immutable, so one report serves every valid set
 
 
-def _exempt_cap(kind: DominationKind, full: int) -> tuple[int, int]:
-    """``kind.accepts`` on masks, as (exempt, cap), each 0 or ``full``: a vertex
-    passes in ge1 & ~(ge3 & cap) | S & exempt (ge_j: j or more neighbours in S)."""
-    return full if kind.accepts(0, 1) else 0, 0 if kind.accepts(3, 0) else full
+def _members(S: VertexSet, n: int, caller: str) -> tuple[int, int]:
+    """S's outer and inner masks in P(n,k): SizeLimitError for n above 2^23,
+    ParameterError naming caller unless S is a VertexSet, and naming S's
+    first member with index >= n."""
+    check_columns(n)
+    S = require_type(S, VertexSet, caller)
+    if S.outer >> n or S.inner >> n:  # a member at index n or past, which it names
+        S.require_below(n)
+    return S.outer, S.inner
+
+
+def _rotate(x: int, s: int, n: int) -> int:
+    """The n-bit x rotated so that bit i is bit (i + s) % n of x, 0 <= s < n,
+    with at most one shift of x at its full width: bits s.. move down and
+    the rest up past them, whichever part is the larger."""
+    if 2 * s > n:
+        return (x << n - s ^ x >> s << n) | x >> s
+    return x >> s | (x & (1 << s) - 1) << n - s if s else x
+
+
+def _degrees(g: PetersenGraph, S: VertexSet, caller: str) -> list[tuple[int, int, int, int]]:
+    """Per ring, outer then inner: (S's members, ge1, ge2, ge3), bit i of
+    ge_j set when the ring's vertex i has j or more neighbours in S.
+
+    Column i's neighbours are column 0's, as ``g._adjacency(0)`` lists
+    them, moved on by i; so the neighbour masks are S's masks rotated by
+    those ranks mod n.  Refuses g and S as ``_members`` does.
+    """
+    n = g.n
+    masks = _members(S, n, caller)
+    rings = []
+    for member, ranks in zip(masks, g._adjacency(0)):
+        a, b, c = [_rotate(masks[t // n], t % n, n) for t in ranks]
+        either, both = a | b, a & b
+        rings.append((member, either | c, both | either & c, both & c))
+    return rings
+
+
+# kind.accepts on masks, as (exempt, cap), each 0 or -1 (every bit): a vertex
+# passes in ge1 & ~(ge3 & cap) | S & exempt (ge_j: j or more neighbours in S)
+_EXEMPT_CAP = {kind: (-kind.accepts(0, 1), -(not kind.accepts(3, 0))) for kind in DominationKind}
 
 
 def is_valid(g: PetersenGraph, S: VertexSet, kind: DominationKind) -> ValidationReport:
     """Check the domination predicate, listing every offending vertex."""
-    kind = DominationKind.require(kind, "is_valid")
-    n, k = g.n, g.k
-    check_columns(n)
-    S.require_below(n)
-    ring = (1 << n) - 1
-
-    def rot(x: int, s: int) -> int:  # bit i is bit (i + s) % n of x
-        return (x >> s | x << n - s) & ring
-
-    U, V, (exempt, cap) = S.outer, S.inner, _exempt_cap(kind, ring)
+    kind = require_type(kind, DominationKind, "is_valid")
+    rings = _degrees(g, S, "is_valid")
+    ring = (1 << g.n) - 1
+    exempt, cap = _EXEMPT_CAP[kind]
     violations: list[Violation] = []
-    # bit i of a, b, c: whether u_(i+1), u_(i-1), v_i are in S, for u_i's
-    # ring, and v_(i+k), v_(i-k), u_i for v_i's
-    for side, member, a, b, c in ((Ring.OUTER, U, rot(U, 1), rot(U, n - 1), V),
-                                  (Ring.INNER, V, rot(V, k), rot(V, n - k), U)):
-        ge1 = a | b | c
-        if bad := ring ^ (ge1 & ~(a & b & c & cap) | member & exempt):
+    for side, (member, ge1, _, ge3) in zip((Ring.OUTER, Ring.INNER), rings):
+        if bad := ring ^ (ge1 & ~(ge3 & cap) | member & exempt):
             # by the rule, a violator is outside ge1 (no neighbour in S) or
             # in ge3 & cap (all three)
             many = set(_indices(bad & ge1))
             for i in _indices(bad):
-                v = Vertex(side, i)
-                violations.append(Violation(v, 3, Bound.TOO_MANY) if i in many
-                                  else Violation(v, 0, Bound.TOO_FEW))
-    return ValidationReport(not violations, tuple(violations))
+                count, bound = (3, Bound.TOO_MANY) if i in many else (0, Bound.TOO_FEW)
+                violations.append(Violation(Vertex(side, i), count, bound))
+    return ValidationReport(False, tuple(violations)) if violations else _VALID
 
 
 def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
@@ -188,11 +204,10 @@ def form_is_valid(form: ColumnForm, kind: DominationKind) -> bool:
     they show every phase of the motif.  Every r >= R0 thus has exactly
     the windows of R0: the form is checked once, at min(r, R0) repeats.
     """
-    kind = DominationKind.require(kind, "form_is_valid")
-    form = form.require("form_is_valid", 5)
-    outer, inner = form._replace(repeats=min(form.repeats, form.settled)).arrays()
-    cu, cv = counts(2, outer, inner)
-    return bool(kind.accepts(cu, outer).all() and kind.accepts(cv, inner).all())
+    kind = require_type(kind, DominationKind, "form_is_valid")
+    form = require_type(form, ColumnForm, "form_is_valid").require("form_is_valid", 5)
+    form = form._replace(repeats=min(form.repeats, form.settled))
+    return is_valid(PetersenGraph(form.n), form.vertex_set(), kind).valid
 
 
 def blocks_by_count(g: PetersenGraph, S: VertexSet) -> dict[int, list[Block]]:
@@ -202,12 +217,15 @@ def blocks_by_count(g: PetersenGraph, S: VertexSet) -> dict[int, list[Block]]:
     empty whenever S is a dominating set.
     """
     g._require_k2("blocks_by_count")
-    x = np.add(*S.arrays(g.n))  # members per column
-    # block i holds x_{i-1} + x_i + x_{i+1}: u_i's count on C_n with x on both rings
-    window, _ = counts(1, x, x)
+    n = g.n
+    masks = _members(S, n, "blocks_by_count")
+    # block i holds columns i and those of u_i's two ring neighbours: its
+    # count is column i's sum over the six masks, unpacked in one piece
+    six = (*masks, *[_rotate(m, t, n) for m in masks for t in g._adjacency(0)[0] if t < n])
+    window = _unpack(sum(m << j * n for j, m in enumerate(six)), 6 * n).reshape(6, n).sum(0)
     buckets: dict[int, list[Block]] = {c: [] for c in range(7)}
-    for b, c in zip(g.blocks(), window.tolist()):
-        buckets[c].append(b)
+    for i, c in enumerate(window.tolist()):
+        buckets[c].append(Block(n, i))
     return buckets
 
 
@@ -241,8 +259,8 @@ def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockT
     """Classify a block of g with exactly one member of S.
 
     Raises ParameterError when g has k != 2, b is a block of another n or
-    centered outside [0, n), S has a member outside [0, n), or
-    |b & S| != 1, and
+    centered outside [0, n), S is not a VertexSet or has a member outside
+    [0, n), or |b & S| != 1, SizeLimitError for n above 2^23, and
     ClassificationImpossibleError when the unique member is v_{i-1} or
     v_{i+1}, which would leave the block's central vertex undominated and
     therefore contradicts S being a valid [1,2]-dominating set.
@@ -252,18 +270,16 @@ def classify_singleton_block(g: PetersenGraph, S: VertexSet, b: Block) -> BlockT
         raise ParameterError(f"block of P({b.n},2) given for P({g.n},2)")
     if not 0 <= b.center < g.n:
         raise ParameterError(f"block center {b.center} is not a column of P({g.n},2)")
-    S.require_below(g.n)
     n, i = g.n, b.center
-    hit = [(ring, d) for ring, mask in zip(Ring, (S.outer, S.inner))
+    hit = [(ring, d) for ring, mask in zip(Ring, _members(S, n, "classify_singleton_block"))
            for d in (-1, 0, 1) if mask >> (i + d) % n & 1]
     if len(hit) != 1:
         raise ParameterError(
             f"block centered at {i} has gamma_S = {len(hit)}, expected 1"
         )
     ((ring, d),) = hit
-    placement = _PLACEMENTS.get((ring, d))
-    if placement is not None:
-        return placement
+    if (ring, d) in _PLACEMENTS:
+        return _PLACEMENTS[ring, d]
     raise ClassificationImpossibleError(
         f"singleton block centered at {i} holds only {ring.value}{(i + d) % n}, "
         f"which cannot dominate the central vertex u{i}; S is not a valid "
@@ -305,28 +321,24 @@ def induced_components(g: PetersenGraph, S: VertexSet) -> list[Component]:
     Raises CensusError if any member has induced degree 0 or 3.
     """
     n = g.n
-    outer, inner = S.arrays(n)
-    member = np.concatenate((outer, inner))  # by rank
-    degree = np.concatenate(counts(g.k, outer, inner))
-    bad = np.flatnonzero(member & ~DominationKind.ONE_TWO_TOTAL.accepts(degree, member))
-    if bad.size:
-        r = int(bad[0])
-        ring, i = (Ring.OUTER, r) if r < n else (Ring.INNER, r - n)
+    # by rank, as VertexSet's bits: u_i is bit i, v_i bit n + i
+    member, ge1, ge2, ge3 = (u | v << n for u, v in zip(*_degrees(g, S, "induced_components")))
+    if bad := member & (~ge1 | ge3):
+        r = (bad & -bad).bit_length() - 1
         raise CensusError(
-            f"vertex {ring.value}{i} has induced degree {degree[r]}; the "
-            f"input set is not [1,2]-total dominating"
+            f"vertex {tuple(Ring)[r // n].value}{r % n} has induced degree "
+            f"{3 * (ge1 >> r & 1)}; the input set is not [1,2]-total dominating"
         )
     # each rank's neighbors in S ascending, then ``end`` for the ones outside
     end, table = 2 * n, g.neighbor_table()
-    near = np.sort(np.where(member[table] != 0, table, end), axis=1)
+    near = np.sort(np.where(_unpack(member, end)[table] != 0, table, end), axis=1)
     first, second = near[:, 0].tolist(), near[:, 1].tolist()
     # the path ends (degree 1) in rank order, so each path is walked from
     # its smaller end; then the cycles, each from its smallest member
     # toward its smaller neighbor
-    ranks = np.flatnonzero(member)
     seen: set[int] = set()
     found: dict[int, Component] = {}
-    for start in ranks[np.argsort(degree[ranks], kind="stable")].tolist():
+    for start in _indices(member & ~ge2) + _indices(member & ge2):
         if start in seen:
             continue
         walk, prev, cur = [start], start, first[start]

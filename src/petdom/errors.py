@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer and size
-checks that raise them."""
+"""Exception types shared across the package, and the integer, type and
+size checks that raise them."""
 
 import numpy as np
 
@@ -75,6 +75,14 @@ def require_int(
         bound = f"{name} >= {lo}" if hi is None else f"{lo} <= {name} <= {hi}"
         head = f"{name} must satisfy" if caller is None else f"{caller} requires"
         raise ParameterError(f"{head} {bound}, got {name}={value}")
+    return value
+
+
+def require_type(value, cls: type, caller: str):
+    """``value`` if it is a ``cls``, else ParameterError naming caller: the
+    one check of every parameter that must be a package type."""
+    if not isinstance(value, cls):
+        raise ParameterError(f"{caller} requires a {cls.__name__}, got {value!r}")
     return value
 
 

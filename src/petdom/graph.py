@@ -304,10 +304,6 @@ class ColumnForm(NamedTuple):
             hi | _repeat(mi, q, r) << h | ti << h + q * r,
         )
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The set's membership arrays at the form's n."""
-        return self.vertex_set().arrays(self.n)
-
 
 class BlockSign(Enum):
     POSITIVE = "positive"

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
-from .domination import DominationKind, _exempt_cap, is_valid
+from .domination import _EXEMPT_CAP, DominationKind, is_valid
 from .errors import (
     InfeasibleError,
     InternalError,
@@ -40,6 +40,7 @@ from .errors import (
     SizeLimitError,
     is_int,
     require_int,
+    require_type,
 )
 from .formulas import f_one_two
 from .graph import PetersenGraph, VertexSet
@@ -184,8 +185,8 @@ class _ExactSearch:
     def __init__(self, g: PetersenGraph, kind: DominationKind):
         self.order = 2 * g.n
         self.full = (1 << self.order) - 1
-        # kind.accepts on masks (see domination._exempt_cap)
-        self.exempt, self.cap = _exempt_cap(kind, self.full)
+        # kind.accepts on masks (see domination._EXEMPT_CAP)
+        self.exempt, self.cap = _EXEMPT_CAP[kind]
         # one pick satisfies at most this many vertices still lacking a
         # dominator (3 neighbors, plus itself unless members also need one)
         self.cover = 3 if kind.covers_members else 4
@@ -253,7 +254,7 @@ def brute_force_min(
     When ``budget`` is given, only sets of at most that cardinality are
     searched and InfeasibleError is raised if none is valid.
     """
-    kind = DominationKind.require(kind, "brute_force_min")
+    kind = require_type(kind, DominationKind, "brute_force_min")
     order = 2 * g.n
     limit = 44 if g.k == 2 else 26  # for k = 2, past each kind's base range 5..N+p
     if order > limit:
@@ -289,7 +290,7 @@ class PairProfile:
 def pair_profile(g: PetersenGraph, S: VertexSet) -> PairProfile:
     """The profile of S over the n column pairs of P(n,2)."""
     g._require_k2("pair_profile")
-    outer, inner = S.arrays(g.n)
+    outer, inner = require_type(S, VertexSet, "pair_profile").arrays(g.n)
     return PairProfile(tuple((outer + inner).tolist()))
 
 

@@ -186,13 +186,13 @@ class TestFormTable:
     def test_counts_calls_bounded(self, monkeypatch):
         # validating each construction on its own set would take 3,992 calls
         calls = []
-        kernel = domination.counts
+        verdict = constructions.form_is_valid
 
-        def counting(*args):
-            calls.append(args[1].size)
-            return kernel(*args)
+        def counting(form, kind):
+            calls.append(form.n)
+            return verdict(form, kind)
 
-        monkeypatch.setattr(domination, "counts", counting)
+        monkeypatch.setattr(constructions, "form_is_valid", counting)
         monkeypatch.setattr(constructions, "_SOUND", {})
         for kind in (K.ONE_TWO, K.ONE_TWO_TOTAL):
             for n in range(5, 2001):

@@ -31,7 +31,7 @@ from petdom import (
     is_valid,
 )
 from petdom.constructions import ConstructionSource, build_construction
-from petdom.domination import counts, form_is_valid
+from petdom.domination import _degrees, form_is_valid
 from petdom.formulas import BY_KIND
 from petdom.graph import Block, ColumnForm, _mask
 
@@ -64,8 +64,16 @@ def random_subset(n, seed_bits):
     return g, VertexSet.of(v for v, b in zip(verts, seed_bits) if b)
 
 
+def counts(k, outer, inner):
+    """|N(u_i) & S| and |N(v_i) & S| for all columns i of P(n,k), from the
+    0/1 membership arrays of S on each ring: a reference kernel on arrays,
+    apart from the masks of domination._degrees."""
+    return (np.roll(outer, 1, 0) + np.roll(outer, -1, 0) + inner,
+            np.roll(inner, k, 0) + np.roll(inner, -k, 0) + outer)
+
+
 def domination_count(g, S, v):
-    """|N(v) & S| read off the neighbour-count kernel."""
+    """|N(v) & S| read off the reference kernel."""
     return int(counts(g.k, *S.arrays(g.n))[v.ring is Ring.INNER][v.index])
 
 
@@ -85,6 +93,31 @@ class TestDominationCount:
         full = g.vertex_set()
         for v in g.vertices():
             assert domination_count(g, full, v) == 3
+
+
+class TestDegrees:
+    @given(n=st.integers(3, 30), data=st.data())
+    def test_masks_match_neighbour_count(self, n, data):
+        # bit i of a ring's ge_j is set exactly when its vertex i has at
+        # least j neighbours in S, for every 1 <= k < n/2
+        masks = st.integers(0, (1 << n) - 1)
+        S = VertexSet(data.draw(masks, "outer"), data.draw(masks, "inner"))
+        for k in range(1, (n + 1) // 2):
+            g = build_petersen(n, k)
+            rings = _degrees(g, S, "test")
+            assert [member for member, *_ in rings] == [S.outer, S.inner]
+            for side, (_, *ge) in zip(Ring, rings):
+                for i in range(n):
+                    c = sum(w in S for w in g.neighbors(Vertex(side, i)))
+                    assert [m >> i & 1 for m in ge] == [c >= 1, c >= 2, c >= 3], (k, side, i)
+
+    def test_refuses_like_is_valid(self):
+        g = build_petersen(7, 2)
+        with pytest.raises(ParameterError, match=r"^vertex v7 has index outside \[0, 7\)$"):
+            _degrees(g, VertexSet(1, 1 << 7), "test")
+        with pytest.raises(ParameterError) as info:
+            _degrees(g, frozenset(), "test")
+        assert str(info.value) == "test requires a VertexSet, got frozenset()"
 
 
 # the four predicates of the domination module docstring, for a vertex
@@ -384,6 +417,19 @@ class TestBlocksByCount:
         got = {b.center: c for c, bucket in blocks_by_count(g, S).items() for b in bucket}
         assert got == {b.center: len(set(b.vertices) & S.members) for b in g.blocks()}
 
+    @pytest.mark.parametrize("density", [0.2, 0.5, 0.8])
+    def test_matches_window_sum_at_large_n(self, density):
+        # at n = 10^5, each bucket's centres against the window sum
+        # x_(i-1) + x_i + x_(i+1) of the per-column member counts x
+        n = 10 ** 5
+        outer, inner = (np.random.default_rng(7).random((2, n)) < density).astype(np.uint8)
+        S = VertexSet(_mask(np.flatnonzero(outer)), _mask(np.flatnonzero(inner)))
+        x = outer + inner
+        window = np.roll(x, 1) + x + np.roll(x, -1)
+        buckets = blocks_by_count(build_petersen(n, 2), S)
+        for c in range(7):
+            assert [b.center for b in buckets[c]] == np.flatnonzero(window == c).tolist(), c
+
     def test_bucket0_empty_for_valid_sets(self):
         from petdom.constructions import construct_one_two
 
@@ -598,6 +644,24 @@ class TestMembersOutsideN:
             with pytest.raises(ParameterError) as info:
                 artifact(build_petersen(10, 2), self.S)
             assert str(info.value) == self.MESSAGE
+
+
+@pytest.mark.parametrize(
+    "artifact",
+    [
+        lambda g, S: blocks_by_count(g, S),
+        lambda g, S: classify_singleton_block(g, S, g.block_at(1)),
+        lambda g, S: induced_components(g, S),
+        lambda g, S: component_census(g, S),
+    ],
+    ids=["blocks_by_count", "classify_singleton_block", "induced_components", "census"],
+)
+def test_artifacts_refuse_more_than_2_23_columns(artifact):
+    # every artifact reads S through one guarded helper, so each refuses
+    # P(n,2) past 2^23 columns as is_valid does, before any n-bit work
+    g = build_petersen(2 ** 23 + 1, 2)
+    with pytest.raises(SizeLimitError, match=r"at most 2\^23 = 8388608 columns, got 8388609"):
+        artifact(g, VertexSet.from_names("u1", 5))
 
 
 class TestCensusInequalities:

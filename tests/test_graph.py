@@ -441,9 +441,6 @@ class TestColumnForm:
         assert form.n == start
         assert form.vertex_set() == VertexSet.of(vertices)
         assert form.size == len(form.vertex_set())
-        assert [a.tolist() for a in form.arrays()] == [
-            a.tolist() for a in VertexSet.of(vertices).arrays(start)
-        ]
 
     @pytest.mark.parametrize(
         "form",
@@ -459,10 +456,9 @@ class TestColumnForm:
             "ColumnForm.vertex_set requires motif width >= 1, widths and repeats >= 0, "
             "each part's bits below its width, got "
         )
-        for build in (form.vertex_set, form.arrays):
-            with pytest.raises(ParameterError) as info:
-                build()
-            assert str(info.value) == message + repr(form)
+        with pytest.raises(ParameterError) as info:
+            form.vertex_set()
+        assert str(info.value) == message + repr(form)
 
 
 class TestRanks:

@@ -1,8 +1,9 @@
 """The parameter contracts.  Every public integer parameter goes through
 ``errors.require_int``, so int and numpy integers give the same result,
 with Python ints inside, and anything else is a ParameterError.  Every
-public kind parameter goes through ``DominationKind.require``, so anything
-but a DominationKind is a ParameterError naming the caller."""
+public kind, vertex-set and column-form parameter goes through
+``errors.require_type``, so anything but an instance of the type is a
+ParameterError naming the caller."""
 
 import dataclasses
 import inspect
@@ -25,10 +26,13 @@ from petdom import (
     ParameterError,
     PetersenGraph,
     VertexSet,
+    blocks_by_count,
     brute_force_min,
     build_petersen,
     census_inequalities,
     check_eq1,
+    classify_singleton_block,
+    component_census,
     dp_min,
     dp_minima,
     enumerate_eq1,
@@ -36,7 +40,9 @@ from petdom import (
     g_one_two_total,
     gamma_ref,
     gamma_t_ref,
+    induced_components,
     is_valid,
+    pair_profile,
     parse_vertex,
 )
 from petdom.errors import require_int
@@ -278,6 +284,59 @@ def test_kind_members_pass(caller):
     for kind in K:
         if caller != "build_construction" or kind.upper_bounded:
             KIND_CALLS[caller](kind)
+
+
+# every public function with a VertexSet parameter -> (the call with set s,
+# the caller its ParameterError names); the census is refused by
+# induced_components, which it runs
+SET_CALLS = {
+    "blocks_by_count": (lambda s: blocks_by_count(G, s), "blocks_by_count"),
+    "classify_singleton_block": (
+        lambda s: classify_singleton_block(G, s, G.block_at(0)), "classify_singleton_block"
+    ),
+    "component_census": (lambda s: component_census(G, s), "induced_components"),
+    "induced_components": (lambda s: induced_components(G, s), "induced_components"),
+    "is_valid": (lambda s: is_valid(G, s, K.ONE_TWO), "is_valid"),
+    "pair_profile": (lambda s: pair_profile(G, s), "pair_profile"),
+}
+
+
+def test_set_table_covers_every_set_parameter():
+    found = {
+        name
+        for name in petdom.__all__
+        if inspect.isfunction(fn := getattr(petdom, name))
+        and any(p.annotation == "VertexSet" for p in inspect.signature(fn).parameters.values())
+    }
+    assert found == set(SET_CALLS)
+
+
+@pytest.mark.parametrize("entry", sorted(SET_CALLS))
+@pytest.mark.parametrize(
+    "value",
+    [frozenset(VertexSet(0b110)), VertexSet(0b110).sorted(), None, (0b110, 0), "u1,u2"],
+    ids=["frozenset", "vertex-list", "None", "mask-pair", "names"],
+)
+def test_set_contract(entry, value):
+    call, caller = SET_CALLS[entry]
+    with pytest.raises(ParameterError) as info:
+        call(value)
+    assert str(info.value) == f"{caller} requires a VertexSet, got {value!r}"
+    call(VertexSet(0b110))  # u1 and u2: a set every entry takes
+
+
+@pytest.mark.parametrize(
+    "form",
+    [((0, 0, 0), (0b010, 0b010, 3), 3, (0, 0, 0)), [(0, 0, 0), (0b010, 0b010, 3), 3, (0, 0, 0)],
+     None],
+    ids=["tuple", "list", "None"],
+)
+def test_form_contract(form):
+    with pytest.raises(ParameterError) as info:
+        domination.form_is_valid(form, K.ONE_TWO)
+    assert str(info.value) == f"form_is_valid requires a ColumnForm, got {form!r}"
+    if form is not None:
+        assert domination.form_is_valid(ColumnForm(*form), K.ONE_TWO)
 
 
 class TestRequireInt:

@@ -1,7 +1,8 @@
 """Layering guards: adjacency is asked of graph.py only and written there
-once, and the proof artifacts in domination.py work from the count kernel
-and ranks, not per-block sets or per-member Vertex objects; a construction
-is built and checked on its family row, not its vertex set."""
+once, and domination.py reads S's masks in one helper and rotates them by
+that adjacency; the proof artifacts work from the masks and ranks, not
+per-block sets or per-member Vertex objects; a construction is built and
+checked on its family row, not its vertex set."""
 
 import ast
 from pathlib import Path
@@ -42,9 +43,17 @@ def test_only_graph_calls_neighbors():
 
 def test_domination_builds_no_per_block_sets():
     tree = _tree("domination.py")
+    # the one set read allowed: form_is_valid checks form.vertex_set(), a set
+    # of a few dozen columns, once per call
+    (allowed,) = [
+        node
+        for node in ast.walk(_function(tree, "form_is_valid"))
+        if isinstance(node, ast.Attribute) and node.attr == "vertex_set"
+        and isinstance(node.value, ast.Name) and node.value.id == "form"
+    ]
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "vertex_set":
+        if isinstance(node, ast.Attribute) and node.attr == "vertex_set" and node is not allowed:
             found.append(("vertex_set", node.lineno))
         if (
             isinstance(node, ast.Attribute)
@@ -54,6 +63,41 @@ def test_domination_builds_no_per_block_sets():
         ):
             found.append(("VertexSet.of", node.lineno))
     assert found == []
+
+
+def _readers(tree, attrs):
+    """The top-level functions and classes of tree that read one of attrs,
+    with "<module>" for reads outside them."""
+    found = set()
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        if any(isinstance(node, ast.Attribute) and node.attr in attrs for node in ast.walk(top)):
+            found.add(name)
+    return found
+
+
+def test_set_masks_read_by_one_helper():
+    # S's two masks are read in domination.py by _members alone, which
+    # checks S first; every predicate and artifact takes them from it, or
+    # takes their degrees from _degrees, which calls it
+    assert _readers(_tree("domination.py"), ("outer", "inner")) == {"_members"}
+
+
+def test_domination_rotations_come_from_adjacency():
+    # ring rotations are by the ranks PetersenGraph._adjacency gives column 0:
+    # every function that rotates reads them there, and none reads k
+    tree = _tree("domination.py")
+    rotating = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_rotate"
+    }
+    assert rotating == {"_degrees", "blocks_by_count"}
+    for name in rotating:
+        assert _calls(_function(tree, name), "_adjacency"), name
+    assert _readers(tree, ("k",)) == set()
 
 
 def _function(tree, name):
